@@ -28,7 +28,13 @@ class LogError(ValueError):
 
 @dataclass(frozen=True)
 class LogEntry:
-    """One committed command: position, leadership epoch, the command."""
+    """One committed command: position, leadership epoch, the command.
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): the
+    log keeps one entry per acknowledged write for the cluster's life.
+    """
+
+    __slots__ = ("index", "term", "request_id", "method", "params_json")
 
     index: int          # 1-based, dense
     term: int           # leadership epoch that wrote the entry

@@ -63,10 +63,16 @@ class ShardReplica:
     def last_index(self) -> int:
         return self.log.last_index
 
-    def append_and_apply(self, entry: LogEntry) -> bytes:
-        """Append one entry and run it through the state machine."""
+    def append_and_apply(
+        self, entry: LogEntry, shared: Optional[bytes] = None
+    ) -> bytes:
+        """Append one entry and run it through the state machine.
+
+        ``shared`` is another replica's response to the same entry (see
+        :meth:`ShardStore.apply`).
+        """
         self.log.append(entry)
-        return self.store.apply(entry)
+        return self.store.apply(entry, shared)
 
     def rebuild_from(self, entries: Tuple[LogEntry, ...]) -> None:
         """Discard everything and replay ``entries`` from index 1."""
@@ -202,18 +208,21 @@ class ReplicatedShard:
             params_json=canonical_params(request.params_dict),
         )
         # Followers first (see module docstring for why this ordering
-        # is the zero-acked-loss argument), leader last, then ack.
+        # is the zero-acked-loss argument), leader last, then ack.  The
+        # replicas' responses are byte-identical, so all of them keep
+        # the first one's bytes.
+        response: Optional[bytes] = None
         for follower in self.followers():
             if follower.last_index < leader.last_index:
                 follower.catch_up_from(leader)
-            follower.append_and_apply(entry)
+            response = follower.append_and_apply(entry, response)
             if traced:
                 self.tracer.event(
                     tid, self.clock(), follower.replica_id,
                     "follower_apply", parent=leader.replica_id,
                     index=entry.index,
                 )
-        response = leader.append_and_apply(entry)
+        response = leader.append_and_apply(entry, response)
         self.commands_applied += 1
         if traced:
             self.tracer.event(

@@ -39,8 +39,6 @@ class ShardStore:
         self.applied_index = 0
         #: request id -> canonical response bytes (at-least-once armor).
         self._dedup: Dict[str, bytes] = {}
-        #: request id -> times the command body actually executed.
-        self.executions: Dict[str, int] = {}
 
     # -- dedup -------------------------------------------------------------
 
@@ -49,11 +47,13 @@ class ShardStore:
 
     # -- log application ---------------------------------------------------
 
-    def apply(self, entry: LogEntry) -> bytes:
+    def apply(self, entry: LogEntry, shared: Optional[bytes] = None) -> bytes:
         """Execute one log entry; return its canonical response bytes.
 
         Must be called in log order exactly once per entry — the
-        replica enforces that; this method checks it.
+        replica enforces that; this method checks it.  ``shared`` is
+        another replica's response to the same entry: when the bytes
+        are equal this store keeps that object instead of its own copy.
         """
         if entry.index != self.applied_index + 1:
             raise ValueError(
@@ -65,15 +65,14 @@ class ShardStore:
         if cached is not None:
             # A request id can reach the log twice only if dedup was
             # bypassed upstream; answering from cache keeps state safe
-            # but the executions table will show the double entry.
+            # and the log's request_id_counts() shows the double entry.
             return cached
-        self.executions[entry.request_id] = (
-            self.executions.get(entry.request_id, 0) + 1
-        )
         response = self._execute(
             entry.method, entry.params, entry.request_id, entry.index
         )
         encoded = response.encode()
+        if encoded == shared:
+            encoded = shared
         self._dedup[entry.request_id] = encoded
         return encoded
 
@@ -242,7 +241,6 @@ class ShardStore:
         self.services.clear()
         self.applied_index = 0
         self._dedup.clear()
-        self.executions.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

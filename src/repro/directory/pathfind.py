@@ -13,6 +13,9 @@ low cost and security"):
 
 Yen's algorithm provides the k-shortest loopless alternatives a client
 caches to "switch between these routes based on … performance" (§6.3).
+
+Every search runs over a :class:`GraphView`, whose per-objective
+adjacency is built once and shared by all the searches given the view.
 """
 
 from __future__ import annotations
@@ -50,52 +53,44 @@ def edge_allowed(edge: Edge, objective: PathObjective) -> bool:
     return True
 
 
-def _adjacency(edges: Sequence[Edge]) -> Dict[str, List[Edge]]:
-    adj: Dict[str, List[Edge]] = {}
-    for edge in edges:
-        adj.setdefault(edge.src, []).append(edge)
-    return adj
+#: One adjacency entry: ``(dst, weight, (src, dst, port_id), edge)``.
+Arc = Tuple[str, float, Tuple[str, str, int], Edge]
 
 
-def dijkstra(
-    edges: Sequence[Edge],
-    src: str,
-    dst: str,
-    objective: PathObjective = PathObjective.LOW_DELAY,
-    banned_edges: Optional[set] = None,
-    banned_nodes: Optional[set] = None,
-) -> Optional[List[Edge]]:
-    """Best path as a list of edges, or None when unreachable."""
-    if objective is PathObjective.HIGH_BANDWIDTH:
-        return _widest_path(edges, src, dst, banned_edges, banned_nodes)
-    adj = _adjacency(edges)
-    banned_edges = banned_edges or set()
-    banned_nodes = banned_nodes or set()
-    dist: Dict[str, float] = {src: 0.0}
-    back: Dict[str, Edge] = {}
-    heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
-    seq = 0
-    visited = set()
-    while heap:
-        d, _tie, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == dst:
-            break
-        for edge in adj.get(node, ()):
-            if (edge.src, edge.dst, edge.port_id) in banned_edges:
-                continue
-            if edge.dst in banned_nodes:
-                continue
-            if not edge_allowed(edge, objective):
-                continue
-            nd = d + edge_weight(edge, objective)
-            if nd < dist.get(edge.dst, float("inf")):
-                dist[edge.dst] = nd
-                back[edge.dst] = edge
-                seq += 1
-                heapq.heappush(heap, (nd, seq, edge.dst))
+class GraphView:
+    """A topology view's edges plus a pre-weighted adjacency per objective.
+
+    ``adjacency(objective)`` maps each node to the :data:`Arc` of every
+    edge leaving it that the objective allows, in edge order, with the
+    edge's weight already computed.  It is built on first use and kept,
+    so every search over the same view — Yen's spur searches, the
+    replicated-service branch, and the directory's later queries while
+    the view stays current — shares one build.  A view must not outlive
+    a change to its edges: build a new one instead.
+    """
+
+    __slots__ = ("edges", "_arcs")
+
+    def __init__(self, edges: Sequence[Edge]) -> None:
+        self.edges = edges
+        self._arcs: Dict[PathObjective, Dict[str, List[Arc]]] = {}
+
+    def adjacency(self, objective: PathObjective) -> Dict[str, List[Arc]]:
+        """Node -> its outgoing arcs under ``objective`` (built once)."""
+        adj = self._arcs.get(objective)
+        if adj is None:
+            adj = {}
+            for edge in self.edges:
+                if edge_allowed(edge, objective):
+                    adj.setdefault(edge.src, []).append((
+                        edge.dst, edge_weight(edge, objective),
+                        (edge.src, edge.dst, edge.port_id), edge,
+                    ))
+            self._arcs[objective] = adj
+        return adj
+
+
+def _walk_back(back: Dict[str, Edge], src: str, dst: str) -> Optional[List[Edge]]:
     if dst not in back and dst != src:
         return None
     path: List[Edge] = []
@@ -108,17 +103,66 @@ def dijkstra(
     return path
 
 
-def _widest_path(
+def dijkstra(
     edges: Sequence[Edge],
     src: str,
     dst: str,
-    banned_edges: Optional[set],
-    banned_nodes: Optional[set],
+    objective: PathObjective = PathObjective.LOW_DELAY,
+    banned_edges: Optional[set] = None,
+    banned_nodes: Optional[set] = None,
+    *,
+    graph: Optional[GraphView] = None,
 ) -> Optional[List[Edge]]:
-    """Maximize bottleneck bandwidth; ties broken by low delay."""
-    adj = _adjacency(edges)
+    """Best path as a list of edges, or None when unreachable.
+
+    ``graph`` is a prebuilt view of ``edges``; without one the call
+    builds its own.
+    """
+    if graph is None:
+        graph = GraphView(edges)
+    adj = graph.adjacency(objective)
     banned_edges = banned_edges or set()
     banned_nodes = banned_nodes or set()
+    if objective is PathObjective.HIGH_BANDWIDTH:
+        return _widest_path(adj, src, dst, banned_edges, banned_nodes)
+    inf = float("inf")
+    dist: Dict[str, float] = {src: 0.0}
+    back: Dict[str, Edge] = {}
+    heap: List[Tuple[float, int, str]] = [(0.0, 0, src)]
+    seq = 0
+    visited = set()
+    while heap:
+        d, _tie, node = heapq.heappop(heap)
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == dst:
+            break
+        for nxt, weight, key, edge in adj.get(node, ()):
+            if key in banned_edges or nxt in banned_nodes:
+                continue
+            nd = d + weight
+            if nd < dist.get(nxt, inf):
+                dist[nxt] = nd
+                back[nxt] = edge
+                seq += 1
+                heapq.heappush(heap, (nd, seq, nxt))
+    return _walk_back(back, src, dst)
+
+
+def _widest_path(
+    adj: Dict[str, List[Arc]],
+    src: str,
+    dst: str,
+    banned_edges: set,
+    banned_nodes: set,
+) -> Optional[List[Edge]]:
+    """Maximize bottleneck bandwidth; ties broken by low delay.
+
+    ``adj`` is the ``HIGH_BANDWIDTH`` adjacency, whose weights are the
+    edges' delays.
+    """
+    unset = (float("inf"), float("inf"))
     # label: (negative bottleneck, delay)
     best: Dict[str, Tuple[float, float]] = {src: (-float("inf"), 0.0)}
     back: Dict[str, Edge] = {}
@@ -132,34 +176,27 @@ def _widest_path(
         visited.add(node)
         if node == dst:
             break
-        for edge in adj.get(node, ()):
-            if (edge.src, edge.dst, edge.port_id) in banned_edges:
-                continue
-            if edge.dst in banned_nodes:
+        for nxt, weight, key, edge in adj.get(node, ()):
+            if key in banned_edges or nxt in banned_nodes:
                 continue
             new_width = min(-neg_width, edge.rate_bps)
-            new_delay = delay + edge_weight(edge, PathObjective.LOW_DELAY)
+            new_delay = delay + weight
             label = (-new_width, new_delay)
-            if label < best.get(edge.dst, (float("inf"), float("inf"))):
-                best[edge.dst] = label
-                back[edge.dst] = edge
+            if label < best.get(nxt, unset):
+                best[nxt] = label
+                back[nxt] = edge
                 seq += 1
-                heapq.heappush(heap, (-new_width, new_delay, seq, edge.dst))
-    if dst not in back and dst != src:
-        return None
-    path: List[Edge] = []
-    node = dst
-    while node != src:
-        edge = back[node]
-        path.append(edge)
-        node = edge.src
-    path.reverse()
-    return path
+                heapq.heappush(heap, (-new_width, new_delay, seq, nxt))
+    return _walk_back(back, src, dst)
 
 
 def path_weight(path: Sequence[Edge], objective: PathObjective) -> float:
     """Total weight of a path under the given objective."""
     return sum(edge_weight(e, objective) for e in path)
+
+
+def _keys(path: Sequence[Edge]) -> Tuple[Tuple[str, str, int], ...]:
+    return tuple((e.src, e.dst, e.port_id) for e in path)
 
 
 def k_shortest_paths(
@@ -168,51 +205,59 @@ def k_shortest_paths(
     dst: str,
     k: int,
     objective: PathObjective = PathObjective.LOW_DELAY,
+    *,
+    graph: Optional[GraphView] = None,
 ) -> List[List[Edge]]:
-    """Yen's algorithm: up to ``k`` loopless paths, best first."""
+    """Yen's algorithm: up to ``k`` loopless paths, best first.
+
+    ``graph`` is a prebuilt view of ``edges``; without one the call
+    builds its own, which every spur search then shares.
+    """
     if k <= 0:
         return []
-    first = dijkstra(edges, src, dst, objective)
+    if graph is None:
+        graph = GraphView(edges)
+    first = dijkstra(edges, src, dst, objective, graph=graph)
     if first is None:
         return []
     found: List[List[Edge]] = [first]
-    candidates: List[Tuple[float, int, List[Edge]]] = []
+    found_keys = [_keys(first)]
+    # Keys of every path found or queued: a candidate seen before is
+    # skipped.
+    seen = set(found_keys)
+    candidates: List[Tuple[float, int, List[Edge], Tuple]] = []
     seq = 0
     while len(found) < k:
         previous = found[-1]
+        previous_keys = found_keys[-1]
         for i in range(len(previous)):
             spur_node = previous[i].src if i > 0 else src
             root = previous[:i]
-            banned_edges = set()
-            for path in found:
-                if [
-                    (e.src, e.dst, e.port_id) for e in path[:i]
-                ] == [(e.src, e.dst, e.port_id) for e in root]:
-                    if i < len(path):
-                        e = path[i]
-                        banned_edges.add((e.src, e.dst, e.port_id))
+            root_keys = previous_keys[:i]
+            banned_edges = {
+                keys[i] for keys in found_keys
+                if i < len(keys) and keys[:i] == root_keys
+            }
             banned_nodes = {e.src for e in root}
             spur = dijkstra(
                 edges, spur_node, dst, objective,
                 banned_edges=banned_edges, banned_nodes=banned_nodes,
+                graph=graph,
             )
             if spur is None:
                 continue
             candidate = root + spur
-            key = [(e.src, e.dst, e.port_id) for e in candidate]
-            if any(
-                key == [(e.src, e.dst, e.port_id) for e in p]
-                for p in found
-            ):
+            key = root_keys + _keys(spur)
+            if key in seen:
                 continue
-            if any(key == [(e.src, e.dst, e.port_id) for e in c] for _w, _s, c in candidates):
-                continue
+            seen.add(key)
             seq += 1
-            heapq.heappush(
-                candidates, (path_weight(candidate, objective), seq, candidate)
-            )
+            heapq.heappush(candidates, (
+                path_weight(candidate, objective), seq, candidate, key,
+            ))
         if not candidates:
             break
-        _w, _s, best_candidate = heapq.heappop(candidates)
+        _w, _s, best_candidate, best_keys = heapq.heappop(candidates)
         found.append(best_candidate)
+        found_keys.append(best_keys)
     return found

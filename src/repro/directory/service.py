@@ -17,14 +17,17 @@ to their cached alternate routes, exactly the paper's argument.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.directory.names import HierarchicalName
 from repro.directory.pathfind import (
+    GraphView,
     PathObjective,
     dijkstra,
     k_shortest_paths,
+    path_weight,
 )
 from repro.directory.regions import RegionServer
 from repro.directory.routes import Route
@@ -103,6 +106,12 @@ class DirectoryService:
         self._home_server: Dict[str, RegionServer] = {}  # node name -> its server
         self._edge_snapshot: Optional[List[Edge]] = None
         self._loads: Dict[str, float] = {}     # link name -> utilization
+        self._loads_version = 0                # bumped when a load changes
+        # The graph view the last query searched, and what it was built
+        # from: the topology-owned edges and the loads version.
+        self._graph: Optional[GraphView] = None
+        self._graph_source: List[Edge] = []
+        self._graph_loads_version = -1
         self._subscriptions: List[_Subscription] = []
         self.queries_served = 0
         self.tokens_issued = 0
@@ -191,15 +200,37 @@ class DirectoryService:
         if self._edge_snapshot is not None:
             self._edge_snapshot = self.topology.edges()
 
-    def current_edges(self) -> List[Edge]:
-        edges = (
+    def graph_view(self) -> GraphView:
+        """The pathfinding view of the current edges, rebuilt on change.
+
+        The view is kept between queries while the live edge set — the
+        same topology-owned ``Edge`` objects, from the snapshot when
+        ``refresh_interval`` is set — and the loads are unchanged.  A
+        failed or restored link or segment, a new link or attachment, a
+        snapshot refresh or a changed load report makes the next call
+        build a new one.  Only the graph is kept: every query still
+        searches it and mints fresh tokens.
+        """
+        source = (
             self._edge_snapshot
             if self._edge_snapshot is not None
             else self.topology.edges()
         )
-        if not self._loads:
-            return edges
-        return [self._load_adjusted(e) for e in edges]
+        graph = self._graph
+        if (
+            graph is None
+            or self._graph_loads_version != self._loads_version
+            or len(source) != len(self._graph_source)
+            or not all(map(operator.is_, source, self._graph_source))
+        ):
+            edges = (
+                [self._load_adjusted(e) for e in source]
+                if self._loads else source
+            )
+            graph = self._graph = GraphView(edges)
+            self._graph_source = source
+            self._graph_loads_version = self._loads_version
+        return graph
 
     def _load_adjusted(self, edge: Edge) -> Edge:
         """Scale edge cost by reported load so hot links look expensive.
@@ -217,7 +248,10 @@ class DirectoryService:
     # -- load reports / advisories (§6.3) ------------------------------------------
 
     def record_load(self, link_name: str, utilization: float) -> None:
-        self._loads[link_name] = max(0.0, min(1.0, utilization))
+        utilization = max(0.0, min(1.0, utilization))
+        if self._loads.get(link_name) != utilization:
+            self._loads[link_name] = utilization
+            self._loads_version += 1
 
     def subscribe(
         self,
@@ -254,13 +288,15 @@ class DirectoryService:
         providers = self.nodes_of(query.destination)
         if not providers:
             return []
-        edges = self.current_edges()
+        graph = self.graph_view()
+        edges = graph.edges
         paths = []
         if len(providers) == 1 and query.k > 1:
             # One host: alternates are k disjoint-ish paths to it.
             paths = [
                 p for p in k_shortest_paths(
-                    edges, client_node, providers[0], query.k, query.objective
+                    edges, client_node, providers[0], query.k,
+                    query.objective, graph=graph,
                 ) if p
             ]
         else:
@@ -268,11 +304,12 @@ class DirectoryService:
             # by the objective, truncated to k.  (A provider co-located
             # with the client needs no network route and is skipped.)
             for provider in providers:
-                path = dijkstra(edges, client_node, provider, query.objective)
+                path = dijkstra(
+                    edges, client_node, provider, query.objective,
+                    graph=graph,
+                )
                 if path:
                     paths.append(path)
-            from repro.directory.pathfind import path_weight
-
             paths.sort(key=lambda p: path_weight(p, query.objective))
             paths = paths[:max(1, query.k)]
         return [self._path_to_route(p, query) for p in paths]

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 from repro.directory.routes import Route
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim.engine import Simulator
-from repro.sim.monitor import Counter, Histogram
+from repro.sim.monitor import Counter
 
 
 class NoRouteError(Exception):
@@ -102,7 +102,8 @@ class RouteManager:
         self.quarantines = Counter("route_quarantines")
         self.refresh_empty = Counter("rebind_refresh_empty")
         self.pardons = Counter("rebind_pardons")
-        self.rtt_samples = Histogram("route_rtt")
+        #: Round trips reported; counted, not kept (one per transaction).
+        self.rtt_samples = Counter("route_rtt_samples")
         self.last_switch_at: Optional[float] = None
         #: Flight recorder (repro.obs); NULL_RECORDER = not recording.
         self.recorder = NULL_RECORDER
@@ -131,7 +132,7 @@ class RouteManager:
         The comparison baseline is the route's *advertised* expected RTT
         (§3: the client can compute it before sending anything).
         """
-        self.rtt_samples.add(rtt)
+        self.rtt_samples.add()
         base = self.current().expected_rtt(payload_size)
         if base > 0 and rtt > base * self.degradation_factor:
             self._consecutive_slow += 1

@@ -68,7 +68,9 @@ def test_replayed_write_is_byte_identical_not_reexecuted():
     assert replay == responses[0]
     shard = cluster.shards[cluster.shard_for("h.region.net")]
     assert shard.dedup_hits == 1
-    assert shard.leader.store.executions[request_id] == 1
+    # Executed once: every replica's log holds the id exactly once.
+    for replica in shard.replicas:
+        assert replica.log.request_id_counts()[request_id] == 1
 
 
 def test_retries_exhausted_raises_with_code_and_attempts():

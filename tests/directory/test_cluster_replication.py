@@ -63,6 +63,14 @@ def test_acknowledged_writes_reach_every_live_follower():
     assert shard.log_lag() == 0
 
 
+def test_replicas_keep_one_shared_copy_of_each_response():
+    shard = ReplicatedShard("s", replication_factor=3)
+    response = _write(shard, "h.region.net", "node-1", "w-shared")
+    for replica in shard.replicas:
+        assert replica.store.cached_response("w-shared") is response
+        assert not hasattr(replica.log.entry_at(1), "__dict__")
+
+
 def test_failover_after_leader_crash_loses_zero_acked_writes():
     shard = ReplicatedShard("s", replication_factor=2)
     acked = {}
@@ -94,9 +102,10 @@ def test_retry_after_failover_returns_byte_identical_response():
     replay = _write(shard, "h.region.net", "node-1", "w-retry")
     assert replay == original
     assert shard.dedup_hits == 1
-    # Dedup means exactly one execution and one log entry.
+    # Dedup means exactly one execution: one log entry on every replica.
     assert shard.request_id_counts()["w-retry"] == 1
-    assert shard.leader.store.executions["w-retry"] == 1
+    for replica in shard.replicas:
+        assert replica.log.request_id_counts()["w-retry"] == 1
 
 
 def test_most_caught_up_follower_wins_promotion():

@@ -124,6 +124,94 @@ def test_load_reports_steer_low_cost_routes():
     assert after.hop_count == 3  # detour is now cheaper
 
 
+# -- the kept graph view: reused while current, never a stale answer ---------
+
+def hops(directory, objective=PathObjective.LOW_DELAY):
+    return directory.query(
+        "h1", RouteQuery("h2.lcs.mit.edu", objective=objective)
+    )[0].hop_count
+
+
+def test_graph_view_is_kept_but_answers_and_tokens_are_not():
+    _sim, _topo, directory = build_network()
+    query = RouteQuery("h2.lcs.mit.edu", with_tokens=True)
+    first = directory.query("h1", query)[0]
+    view = directory.graph_view()
+    second = directory.query("h1", query)[0]
+    assert directory.graph_view() is view
+    assert second is not first
+    assert directory.tokens_issued == 4  # two routers, minted twice
+    assert second.segments == first.segments  # same route, fresh objects
+
+
+def test_failed_and_restored_link_rebuild_the_view():
+    _sim, topo, directory = build_network()
+    assert hops(directory) == 2
+    topo.fail_link("main")
+    assert hops(directory) == 3
+    topo.restore_link("main")
+    assert hops(directory) == 2
+
+
+def test_swapped_link_failures_rebuild_the_view():
+    """As many live edges as before, but not the same ones."""
+    _sim, topo, directory = build_network()
+    topo.fail_link("main")
+    assert hops(directory) == 3
+    topo.restore_link("main")
+    topo.fail_link("alt-a")
+    assert hops(directory) == 2
+
+
+def test_failed_segment_rebuilds_the_view():
+    _sim, topo, directory = build_network()
+    assert hops(directory) == 2
+    topo.fail_link("eth2")
+    assert directory.query("h1", RouteQuery("h2.lcs.mit.edu")) == []
+
+
+def test_new_link_rebuilds_the_view():
+    _sim, topo, directory = build_network()
+    topo.fail_link("main")
+    assert hops(directory) == 3
+    topo.connect(topo.node("r1"), topo.node("r2"), name="express")
+    assert hops(directory) == 2
+
+
+def test_load_reports_rebuild_the_view_both_ways():
+    _sim, _topo, directory = build_network()
+    assert hops(directory, PathObjective.LOW_COST) == 2
+    directory.record_load("main", 0.95)
+    view = directory.graph_view()
+    assert hops(directory, PathObjective.LOW_COST) == 3
+    directory.record_load("main", 0.95)  # no change: the view is kept
+    assert directory.graph_view() is view
+    directory.record_load("main", 0.0)
+    assert hops(directory, PathObjective.LOW_COST) == 2
+
+
+def test_rebind_to_another_provider_changes_the_next_answer():
+    _sim, _topo, directory = build_network()
+    assert hops(directory) == 2
+    view = directory.graph_view()
+    directory.rebind_host("r3", "h2.lcs.mit.edu")
+    assert hops(directory) == 1  # h1 -> r1 -> r3
+    assert directory.graph_view() is view  # bindings are not in the graph
+
+
+def test_snapshot_view_stays_stale_until_refresh():
+    sim, topo, directory = build_network(refresh_interval=1.0)
+    assert hops(directory) == 2
+    topo.fail_link("main")
+    assert hops(directory) == 2  # the snapshot still has the dead link
+    sim.run(until=1.5)  # refresh happens
+    assert hops(directory) == 3
+    topo.restore_link("main")
+    assert hops(directory) == 3
+    directory.force_refresh()
+    assert hops(directory) == 2
+
+
 def test_query_latency_includes_region_walk():
     _sim, _topo, directory = build_network()
     latency = directory.query_latency("h1", "h2.lcs.mit.edu")
