@@ -26,6 +26,17 @@ by the *existing* codec in :mod:`repro.viper.wire` and
   first trailer element, making the trailer walk exact rather than
   heuristic.
 
+**Ack frames** name one or more acked hop sequences.  The preamble's
+``hop sequence`` is the first, ``segCount`` is 0, and the body is the
+rest as 4-byte big-endian values, so ``payloadLen`` is 4 × (count − 1)
+and the datagram is exactly ``11 + payloadLen`` bytes::
+
+    preamble(kind=ACK, seq=s1, segCount=0, payloadLen=4(k-1)) | s2 | ... | sk
+
+A one-seq ack is the bare preamble.  One ack names at most
+:data:`ACK_MAX_SEQS` sequences, so it fits the 1500-byte VIPER unit;
+:func:`encode_acks` splits longer lists.
+
 **Traced frames** (the debug option the observability layer rides on):
 when the high bit of ``kind`` is set (:data:`FLAG_TRACED`), an 8-byte
 big-endian trace id follows the fixed preamble and the VIPER body
@@ -45,8 +56,7 @@ same codec the simulator uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import (
@@ -63,6 +73,7 @@ from repro.viper.wire import (
     FIXED_SEGMENT_BYTES,
     HeaderSegment,
     MAX_SEGMENTS,
+    VIPER_MTU,
     alt_block_span,
     decode_alt_block,
     decode_alt_blocks,
@@ -109,9 +120,12 @@ MAX_PAYLOAD_BYTES = 0xFFFF
 #: ``seq`` value meaning "unreliable, do not ack".
 SEQ_NONE = 0
 
+#: Most hop sequences one ack datagram names (the preamble's plus the
+#: body's), so that the ack fits one VIPER transmission unit.
+ACK_MAX_SEQS = 1 + (VIPER_MTU - PREAMBLE_BYTES) // SEQ_BYTES
 
-@dataclass(frozen=True)
-class Preamble:
+
+class Preamble(NamedTuple):
     """Decoded overlay preamble of one live datagram."""
 
     kind: int
@@ -189,17 +203,65 @@ def decode_preamble(datagram: bytes) -> Preamble:
         if trace_id == 0:
             raise ViperDecodeError("traced flag with zero trace id")
     return Preamble(
-        kind=kind,
-        seq=int.from_bytes(datagram[4:8], "big"),
-        seg_count=seg_count,
-        payload_len=int.from_bytes(datagram[9:11], "big"),
-        trace_id=trace_id,
+        kind,
+        int.from_bytes(datagram[4:8], "big"),
+        seg_count,
+        int.from_bytes(datagram[9:11], "big"),
+        trace_id,
     )
 
 
-def encode_ack(seq: int) -> bytes:
-    """A per-hop acknowledgement frame for ``seq``."""
-    return encode_preamble(FRAME_ACK, seq, 0, 0)
+def encode_acks(seqs: Sequence[int]) -> List[bytes]:
+    """Per-hop ack datagrams naming every sequence in ``seqs``, in order.
+
+    Each datagram names at most :data:`ACK_MAX_SEQS` of them; a longer
+    list becomes several acks.  Every sequence must be nonzero (0 is
+    :data:`SEQ_NONE`, which is never acked).
+    """
+    acks: List[bytes] = []
+    for at in range(0, len(seqs), ACK_MAX_SEQS):
+        chunk = seqs[at:at + ACK_MAX_SEQS]
+        for seq in chunk:
+            if not 0 < seq <= 0xFFFFFFFF:
+                raise ValueError(f"ack sequence {seq} outside 1..2^32-1")
+        rest = chunk[1:]
+        acks.append(
+            encode_preamble(FRAME_ACK, chunk[0], 0, SEQ_BYTES * len(rest))
+            + b"".join(seq.to_bytes(SEQ_BYTES, "big") for seq in rest)
+        )
+    return acks
+
+
+def decode_ack_seqs(datagram, preamble: Optional[Preamble] = None) -> List[int]:
+    """The hop sequences one ack datagram names; total over arbitrary bytes.
+
+    ``preamble`` skips re-decoding it when the caller already has.  An
+    ack that counts header segments, whose body is not whole sequences,
+    whose ``payloadLen`` disagrees with the datagram's size, or which
+    names sequence 0 raises :class:`~repro.viper.errors.ViperDecodeError`.
+    """
+    if preamble is None:
+        preamble = decode_preamble(datagram)
+    if preamble.kind != FRAME_ACK:
+        raise ViperDecodeError("not an ack frame")
+    if preamble.seg_count:
+        raise ViperDecodeError("ack frame with header segments")
+    body_len = preamble.payload_len
+    if body_len % SEQ_BYTES:
+        raise ViperDecodeError(
+            f"ack body of {body_len} bytes is not whole sequence numbers"
+        )
+    if len(datagram) != PREAMBLE_BYTES + body_len:
+        raise ViperDecodeError(
+            f"ack of {len(datagram)} bytes disagrees with its "
+            f"{body_len}-byte body"
+        )
+    seqs = [preamble.seq]
+    for at in range(PREAMBLE_BYTES, PREAMBLE_BYTES + body_len, SEQ_BYTES):
+        seqs.append(int.from_bytes(datagram[at:at + SEQ_BYTES], "big"))
+    if SEQ_NONE in seqs:
+        raise ViperDecodeError("ack names sequence 0")
+    return seqs
 
 
 def restamp_seq(datagram: bytes, seq: int) -> bytes:
@@ -436,8 +498,7 @@ def encode_preamble_into(
     """Write a data-frame preamble into ``buffer`` at ``offset`` in place.
 
     The allocation-free twin of :func:`encode_preamble` for the hop
-    fast path (always ``FRAME_DATA`` — acks use a preallocated scratch
-    frame).  Returns the header length written (11, or 19 when traced).
+    fast path (always ``FRAME_DATA``; acks come from :func:`encode_acks`).  Returns the header length written (11, or 19 when traced).
     """
     if not 0 <= seq <= 0xFFFFFFFF:
         raise ValueError(f"sequence {seq} outside 32 bits")

@@ -16,12 +16,14 @@ callbacks.  The endpoint provides:
   (:attr:`on_frame` remains as the materialising per-frame fallback),
 * **per-hop reliability** — frames sent with :meth:`LiveEndpoint.send`
   / :meth:`~LiveEndpoint.send_view` under ``reliable=True`` carry a
-  hop sequence number; the receiving endpoint acks it immediately and
-  the sender retries on an ack timeout, finally declaring the peer
-  dead (:attr:`on_peer_dead`) — this is what makes a killed router
-  *observable* instead of a silent black hole.  A reliable view's ring
-  slot stays **pinned** in the retry table until the ack (or the final
-  abandonment) releases it,
+  hop sequence number; the receiving endpoint acks it once per drain,
+  per peer (one ack datagram names every sequence that peer sent in the
+  drain) and the sender retries on an ack timeout, finally declaring
+  the peer dead (:attr:`on_peer_dead`) — this is what makes a killed
+  router *observable* instead of a silent black hole.  A reliable
+  view's ring slot stays **pinned** in the retry table until the ack
+  (or the final abandonment) releases it.  One timer per endpoint,
+  armed for the earliest retry deadline, serves every pending frame,
 * **coalesced sends** — :meth:`send_parts` gathers one datagram from
   several buffers via ``sendmsg`` (plain ``sendto`` of the joined
   bytes as the fallback); a full socket buffer queues the frame and
@@ -43,7 +45,7 @@ owns it) exactly once — see ARCHITECTURE §14.
 from __future__ import annotations
 
 import asyncio
-import itertools
+import heapq
 import random
 import socket
 from collections import deque
@@ -54,11 +56,10 @@ from repro.live.frames import (
     FRAME_ACK,
     FRAME_DATA,
     PREAMBLE_BYTES,
-    SEQ_BYTES,
     SEQ_NONE,
-    SEQ_OFFSET,
+    decode_ack_seqs,
     decode_preamble,
-    encode_ack,
+    encode_acks,
     restamp_seq,
     restamp_seq_into,
 )
@@ -72,6 +73,10 @@ Address = Tuple[str, int]
 
 #: Default maximum datagrams drained per loop wakeup.
 RX_BATCH = 32
+
+#: Largest hop sequence; the sequence space wraps from here back to 1
+#: (0 is :data:`~repro.live.frames.SEQ_NONE`).
+SEQ_MAX = 0xFFFFFFFF
 
 #: Linux reports datagram truncation in ``recvmsg`` flags; on platforms
 #: without the flag oversize datagrams are silently truncated (and then
@@ -202,18 +207,20 @@ class _PendingFrame:
 
     ``data`` is the exact wire bytes to retransmit; when ``slot`` is
     set, ``data`` is a memoryview into that (pinned) ring slot and the
-    ack/abandonment path owns releasing it.
+    ack/abandonment path owns releasing it.  ``due`` is the loop time of
+    the next retry; the endpoint's deadline heap holds ``(due, seq)``.
     """
 
-    __slots__ = ("data", "slot", "addr", "retries_left", "gap_s")
+    __slots__ = ("data", "slot", "addr", "retries_left", "gap_s", "due")
 
     def __init__(self, data, slot, addr: Address, retries_left: int,
-                 gap_s: float) -> None:
+                 gap_s: float, due: float) -> None:
         self.data = data
         self.slot = slot
         self.addr = addr
         self.retries_left = retries_left
         self.gap_s = gap_s
+        self.due = due
 
 
 class LiveEndpoint:
@@ -268,15 +275,17 @@ class LiveEndpoint:
         #: returns a per-datagram fault decision or None.  Duck-typed so
         #: the live layer stays independent of the chaos package.
         self.fault_hook: Optional[Callable[[Address], Any]] = None
-        self._seq = itertools.count(1)
+        self._next_seq = 1
         self._pending: Dict[int, _PendingFrame] = {}
-        self._retry_timers: Dict[int, asyncio.TimerHandle] = {}
+        #: ``(due, seq)`` per retry deadline, earliest first.  Acks only
+        #: pop ``_pending``; the timer skips entries left stale by them.
+        self._deadlines: List[Tuple[float, int]] = []
+        #: The one retry timer, armed for the earliest deadline.
+        self._retry_timer: Optional[asyncio.TimerHandle] = None
         self._seen: Dict[Address, Tuple[Set[int], Deque[int]]] = {}
         #: Frames deferred by a momentarily full socket buffer.
         self._tx_backlog: Deque[Tuple[bytes, Address]] = deque()
         self._writer_armed = False
-        #: Reusable ack frame — the seq field is restamped per ack.
-        self._ack_scratch = bytearray(encode_ack(0))
         #: Reusable single-buffer list for ``recvmsg_into``.
         self._recv_buffers: List[Any] = [None]
         #: Drain-loop accounting (wakeup amortisation, for the bench).
@@ -299,11 +308,9 @@ class LiveEndpoint:
         if self.closed:
             self.closed = False
             self._pending.clear()
-            self._retry_timers.clear()
+            self._clear_deadlines()
             self._seen.clear()
-            self._seq = itertools.count(
-                self._backoff_rng.randrange(1, 1 << (8 * SEQ_BYTES - 2))
-            )
+            self._next_seq = self._backoff_rng.randrange(1, 1 << 30)
         self._loop = asyncio.get_running_loop()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.setblocking(False)
@@ -321,9 +328,7 @@ class LiveEndpoint:
     def close(self) -> None:
         """Close the socket, cancel retries, unpin every pending slot."""
         self.closed = True
-        for timer in self._retry_timers.values():
-            timer.cancel()
-        self._retry_timers.clear()
+        self._clear_deadlines()
         for entry in self._pending.values():
             if entry.slot is not None:
                 self.ring.release(entry.slot)
@@ -361,14 +366,9 @@ class LiveEndpoint:
             return SEQ_NONE
         seq = SEQ_NONE
         if reliable:
-            seq = next(self._seq)
+            seq = self._take_seq()
             datagram = restamp_seq(datagram, seq)
-            self._pending[seq] = _PendingFrame(
-                datagram, None, addr, self.reliability.max_retries,
-                self.reliability.ack_timeout_s,
-            )
-            self._budget.note_send(self._now())
-            self._arm_retry(seq, self.reliability.ack_timeout_s)
+            self._track(seq, datagram, None, addr)
         self.metrics.record_out(len(datagram))
         self._impaired_send(datagram, addr)
         return seq
@@ -391,14 +391,9 @@ class LiveEndpoint:
             return SEQ_NONE
         seq = SEQ_NONE
         if reliable:
-            seq = next(self._seq)
+            seq = self._take_seq()
             restamp_seq_into(view.buffer, view.start, seq)
-            self._pending[seq] = _PendingFrame(
-                view.mem, view.slot, addr, self.reliability.max_retries,
-                self.reliability.ack_timeout_s,
-            )
-            self._budget.note_send(self._now())
-            self._arm_retry(seq, self.reliability.ack_timeout_s)
+            self._track(seq, view.mem, view.slot, addr)
         self.metrics.record_out(len(view))
         if self.fault_hook is not None or self.impairments.any():
             self._impaired_send(view.tobytes(), addr)
@@ -511,12 +506,37 @@ class LiveEndpoint:
 
     # -- per-hop reliability -----------------------------------------------
 
-    def _arm_retry(self, seq: int, delay_s: float) -> None:
-        if self._loop is None:
-            return
-        self._retry_timers[seq] = self._loop.call_later(
-            delay_s, self._on_ack_timeout, seq
+    def _take_seq(self) -> int:
+        """The next hop sequence: wraps modulo 2^32, never :data:`SEQ_NONE`."""
+        seq = self._next_seq
+        self._next_seq = seq + 1 if seq < SEQ_MAX else 1
+        return seq
+
+    def _track(self, seq: int, data, slot, addr: Address) -> None:
+        """Hold a reliable frame for retry until its ack arrives."""
+        now = self._now()
+        gap_s = self.reliability.ack_timeout_s
+        due = now + gap_s
+        self._pending[seq] = _PendingFrame(
+            data, slot, addr, self.reliability.max_retries, gap_s, due
         )
+        self._budget.note_send(now)
+        heapq.heappush(self._deadlines, (due, seq))
+        timer = self._retry_timer
+        if timer is None or due < timer.when():
+            self._arm_retry_timer(due)
+
+    def _arm_retry_timer(self, when: float) -> None:
+        if self._retry_timer is not None:
+            self._retry_timer.cancel()
+        self._retry_timer = self._loop.call_at(when, self._on_retry_timer)
+
+    def _clear_deadlines(self) -> None:
+        """Cancel the retry timer and forget every deadline."""
+        if self._retry_timer is not None:
+            self._retry_timer.cancel()
+            self._retry_timer = None
+        self._deadlines.clear()
 
     def _next_gap(self, gap_s: float) -> float:
         """Exponential backoff with jitter: strictly growing, never twice
@@ -540,16 +560,38 @@ class LiveEndpoint:
         if self.on_peer_dead is not None:
             self.on_peer_dead(entry.addr)
 
-    def _on_ack_timeout(self, seq: int) -> None:
-        self._retry_timers.pop(seq, None)
-        entry = self._pending.get(seq)
-        if entry is None:
-            return
+    def _on_retry_timer(self) -> None:
+        """Retry every frame whose deadline has passed, then re-arm.
+
+        Entries whose frame was acked, abandoned or rescheduled since
+        they were pushed are stale and skipped.  Stale entries past the
+        head are popped too, so the timer re-arms for the earliest
+        frame still awaiting its ack.
+        """
+        # The loop may run a timer up to its clock resolution early.
+        now = max(self._now(), self._retry_timer.when())
+        self._retry_timer = None
+        deadlines = self._deadlines
+        pending = self._pending
+        while deadlines:
+            due, seq = deadlines[0]
+            entry = pending.get(seq)
+            if entry is None or entry.due != due:
+                heapq.heappop(deadlines)
+                continue
+            if due > now:
+                break
+            heapq.heappop(deadlines)
+            self._on_ack_timeout(seq, entry, now)
+        if deadlines and not self.closed:
+            self._arm_retry_timer(deadlines[0][0])
+
+    def _on_ack_timeout(self, seq: int, entry: _PendingFrame,
+                        now: float) -> None:
         if entry.retries_left <= 0:
             # Peer is unresponsive: give up on this frame.
             self._abandon_pending(seq, "peer_dead")
             return
-        now = self._now()
         if not self._budget.allow(now):
             # Retrying now would join a storm: abandon the frame instead
             # (the §6.3 cap — retry pressure may track offered load but
@@ -563,16 +605,16 @@ class LiveEndpoint:
         if self.on_retry is not None:
             self.on_retry(entry.addr, seq, entry.gap_s)
         self._impaired_send(entry.data, entry.addr)
-        self._arm_retry(seq, entry.gap_s)
+        entry.due = now + entry.gap_s
+        heapq.heappush(self._deadlines, (entry.due, seq))
 
-    def _on_ack(self, seq: int) -> None:
+    def _on_ack(self, seqs: List[int]) -> None:
         self.metrics.acks_in += 1
-        timer = self._retry_timers.pop(seq, None)
-        if timer is not None:
-            timer.cancel()
-        entry = self._pending.pop(seq, None)
-        if entry is not None and entry.slot is not None:
-            self.ring.release(entry.slot)
+        pending = self._pending
+        for seq in seqs:
+            entry = pending.pop(seq, None)
+            if entry is not None and entry.slot is not None:
+                self.ring.release(entry.slot)
 
     def _is_duplicate(self, addr: Address, seq: int) -> bool:
         seen = self._seen.get(addr)
@@ -591,22 +633,23 @@ class LiveEndpoint:
 
     # -- receive -----------------------------------------------------------
 
-    def _send_ack(self, seq: int, addr: Address) -> None:
-        """Ack from the preallocated scratch frame (restamped in place)."""
-        buf = self._ack_scratch
-        buf[SEQ_OFFSET] = (seq >> 24) & 0xFF
-        buf[SEQ_OFFSET + 1] = (seq >> 16) & 0xFF
-        buf[SEQ_OFFSET + 2] = (seq >> 8) & 0xFF
-        buf[SEQ_OFFSET + 3] = seq & 0xFF
-        self._raw_send(buf, addr)
+    def _send_acks(self, to_ack: Dict[Address, List[int]]) -> None:
+        """One ack datagram per peer naming every sequence it sent."""
+        for addr, seqs in to_ack.items():
+            for ack in encode_acks(seqs):
+                self.metrics.acks_out += 1
+                self._raw_send(ack, addr)
 
     def _on_readable(self) -> None:
         """Drain loop: one wakeup, up to ``rx_batch`` datagrams.
 
         Each datagram lands in a ring slot via ``recvmsg_into`` (no
         receive-side allocation); acks and invalid frames are handled
-        inline; surviving data frames are delivered as one batch of
-        views whose slots the consumer now owns.
+        inline.  The hop sequences of reliable data frames (duplicates
+        too — their ack may have been lost) are collected per source
+        and acked after the drain, one datagram per peer.  Surviving
+        data frames are then delivered as one batch of views whose
+        slots the consumer now owns.
         """
         sock = self._sock
         if sock is None or self.closed:
@@ -614,6 +657,7 @@ class LiveEndpoint:
         ring = self.ring
         buffers = self._recv_buffers
         batch: List[Tuple[PacketView, Address]] = []
+        to_ack: Dict[Address, List[int]] = {}
         for _ in range(self.rx_batch):
             slot = ring.acquire()
             buffers[0] = slot.view
@@ -634,30 +678,39 @@ class LiveEndpoint:
                 ring.release(slot)
                 self.metrics.drop("oversize")
                 continue
+            data = slot.view[:nbytes]
             try:
-                preamble = decode_preamble(slot.view[:nbytes])
+                preamble = decode_preamble(data)
+                acked = (
+                    decode_ack_seqs(data, preamble)
+                    if preamble.kind == FRAME_ACK else None
+                )
             except ViperDecodeError:
                 ring.release(slot)
                 self.metrics.drop("undecodable")
                 continue
-            if preamble.kind == FRAME_ACK:
+            if acked is not None:
                 ring.release(slot)
-                self._on_ack(preamble.seq)
+                self._on_ack(acked)
                 continue
             if preamble.kind != FRAME_DATA:  # pragma: no cover - decoder guards
                 ring.release(slot)
                 self.metrics.drop("undecodable")
                 continue
             if preamble.seq != SEQ_NONE:
-                # Ack first (even duplicates — their ack may have been lost).
-                self.metrics.acks_out += 1
-                self._send_ack(preamble.seq, addr)
+                acks = to_ack.get(addr)
+                if acks is None:
+                    to_ack[addr] = [preamble.seq]
+                else:
+                    acks.append(preamble.seq)
                 if self._is_duplicate(addr, preamble.seq):
                     ring.release(slot)
                     self.metrics.drop("duplicate")
                     continue
             self.metrics.record_in(nbytes)
             batch.append((PacketView.of_slot(slot, nbytes), addr))
+        if to_ack:
+            self._send_acks(to_ack)
         if not batch:
             return
         self.rx_batches += 1

@@ -27,6 +27,8 @@ class EndpointMetrics:
     frames_out: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
+    #: Ack *datagrams* received and sent.  One ack datagram may name
+    #: many hop sequences (acks are coalesced per receive drain).
     acks_in: int = 0
     acks_out: int = 0
     retries: int = 0

@@ -9,13 +9,15 @@ same totality contract the wire codec's fuzz suite enforces.
 import pytest
 
 from repro.live.frames import (
+    ACK_MAX_SEQS,
     FRAME_ACK,
     FRAME_DATA,
     PREAMBLE_BYTES,
     SEQ_NONE,
+    decode_ack_seqs,
     decode_live_frame,
     decode_preamble,
-    encode_ack,
+    encode_acks,
     encode_live_frame,
     encode_preamble,
     peek_leading_segment,
@@ -52,9 +54,73 @@ def test_preamble_roundtrip():
 
 
 def test_ack_frame_roundtrip():
-    preamble = decode_preamble(encode_ack(42))
+    (ack,) = encode_acks([42])
+    preamble = decode_preamble(ack)
     assert preamble.kind == FRAME_ACK
     assert preamble.seq == 42
+    assert decode_ack_seqs(ack) == [42]
+
+
+def test_one_seq_ack_is_the_bare_preamble():
+    # The single-seq ack keeps the wire bytes acks had before coalescing.
+    assert encode_acks([42]) == [b"VL\x01\x01\x00\x00\x00\x2a\x00\x00\x00"]
+    assert encode_acks([42]) == [encode_preamble(FRAME_ACK, 42, 0, 0)]
+
+
+def test_multi_seq_ack_roundtrip():
+    seqs = [7, 1, 0xFFFFFFFF, 7, 300]
+    (ack,) = encode_acks(seqs)
+    preamble = decode_preamble(ack)
+    assert preamble.seq == 7
+    assert preamble.seg_count == 0
+    assert preamble.payload_len == 4 * (len(seqs) - 1)
+    assert len(ack) == PREAMBLE_BYTES + preamble.payload_len
+    assert ack[PREAMBLE_BYTES:PREAMBLE_BYTES + 4] == (1).to_bytes(4, "big")
+    assert decode_ack_seqs(ack) == seqs
+    assert decode_ack_seqs(ack, preamble) == seqs
+
+
+def test_ack_list_over_the_cap_splits():
+    assert PREAMBLE_BYTES + 4 * (ACK_MAX_SEQS - 1) <= 1500
+    assert PREAMBLE_BYTES + 4 * ACK_MAX_SEQS > 1500
+    seqs = list(range(1, 2 * ACK_MAX_SEQS + 2))
+    acks = encode_acks(seqs)
+    assert len(acks) == 3
+    assert all(len(ack) <= 1500 for ack in acks)
+    decoded = [decode_ack_seqs(ack) for ack in acks]
+    assert [len(part) for part in decoded] == [ACK_MAX_SEQS, ACK_MAX_SEQS, 1]
+    assert [seq for part in decoded for seq in part] == seqs
+    assert encode_acks([]) == []
+
+
+@pytest.mark.parametrize("seqs", [[0], [5, 0], [1 << 32], [-1]])
+def test_ack_encoder_rejects_out_of_range_seqs(seqs):
+    with pytest.raises(ValueError):
+        encode_acks(seqs)
+
+
+@pytest.mark.parametrize(
+    "datagram",
+    [
+        # payloadLen not a whole number of sequences
+        encode_preamble(FRAME_ACK, 5, 0, 3) + b"\x00\x00\x00",
+        # payloadLen says one more seq than the datagram carries
+        encode_preamble(FRAME_ACK, 5, 0, 8) + (6).to_bytes(4, "big"),
+        # trailing bytes past the declared body
+        encode_preamble(FRAME_ACK, 5, 0, 0) + b"\x00\x00\x00\x07",
+        # seq 0 in the preamble
+        encode_preamble(FRAME_ACK, 0, 0, 0),
+        # seq 0 in the body
+        encode_preamble(FRAME_ACK, 5, 0, 4) + (0).to_bytes(4, "big"),
+        # an ack carries no header segments
+        encode_preamble(FRAME_ACK, 5, 2, 0),
+        # a data frame is not an ack
+        encode_preamble(FRAME_DATA, 5, 0, 0),
+    ],
+)
+def test_malformed_acks_are_rejected(datagram):
+    with pytest.raises(ViperDecodeError):
+        decode_ack_seqs(datagram)
 
 
 def test_live_frame_roundtrip():

@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.ip.header import IPV4_HEADER_BYTES, IpHeader
 from repro.core.multicast import decode_tree_info
-from repro.viper.errors import DecodeError
+from repro.live.frames import (
+    FRAME_ACK,
+    PREAMBLE_BYTES,
+    decode_ack_seqs,
+    decode_preamble,
+    encode_acks,
+    encode_preamble,
+)
+from repro.viper.errors import DecodeError, ViperDecodeError
 from repro.viper.packet import decode_trailer
 from repro.viper.portinfo import CompressedEthernetInfo, EthernetInfo
 from repro.viper.wire import decode_segment, encode_segment
@@ -69,3 +77,31 @@ def test_short_ip_header_rejected(data):
         assert False, "short buffer accepted"
     except ValueError:
         pass
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=300)
+def test_live_preamble_decoder_total(data):
+    try:
+        preamble = decode_preamble(data)
+    except ViperDecodeError:
+        return
+    assert PREAMBLE_BYTES <= preamble.header_len <= len(data)
+
+
+@given(st.one_of(
+    st.binary(max_size=64),
+    # Well-formed ack preambles over arbitrary bodies reach the body checks.
+    st.tuples(
+        st.integers(0, 0xFFFFFFFF), st.integers(0, 40), st.binary(max_size=40)
+    ).map(lambda t: encode_preamble(FRAME_ACK, t[0], 0, t[1]) + t[2]),
+))
+@settings(max_examples=300)
+def test_ack_seq_decoder_total(data):
+    try:
+        seqs = decode_ack_seqs(data)
+    except ViperDecodeError:
+        return
+    assert seqs and 0 not in seqs
+    # What decoded re-encodes to exactly the datagram.
+    assert encode_acks(seqs) == [data]
