@@ -13,10 +13,9 @@ bytes — the strongest possible "we did not re-execute" witness.
 Versioning contract:
 
 * ``v`` is an integer; this module speaks ``PROTOCOL_V2``.
-* A frame *without* ``v`` is a legacy v1 frame — the live server keeps
-  answering those in the v1 shape, so old clients interoperate.
-* A frame with an unsupported ``v`` gets a ``version_unsupported``
-  error naming both versions, never a silent misparse.
+* A frame *without* ``v`` is read as the retired implicit v1; like any
+  other unsupported ``v`` it gets a ``version_unsupported`` error
+  naming both versions, never a silent misparse.
 
 Error taxonomy (``CommandError.code``): protocol faults
 (``bad_request``, ``unknown_method``, ``version_unsupported``) are
@@ -37,7 +36,7 @@ from typing import Dict, Mapping, Optional, Tuple
 #: The protocol version this module implements.
 PROTOCOL_V2 = 2
 
-#: Legacy implicit version (frames with no ``v`` field).
+#: Retired implicit version (frames with no ``v`` field).
 PROTOCOL_V1 = 1
 
 #: Response statuses (diem off-chain: every response is one of these).

@@ -380,23 +380,7 @@ def decode_live_frame(datagram: bytes) -> Tuple[Preamble, SirpentPacket, bytes]:
     return preamble, packet, payload_bytes
 
 
-# -- router fast path --------------------------------------------------------
-
-
-def peek_leading_segment(datagram: bytes) -> Tuple[Preamble, HeaderSegment]:
-    """Decode only what a cut-through router needs: preamble + first segment.
-
-    This is the live analogue of the paper's observation that the fixed
-    fields lead so the switching decision can start before the rest of
-    the packet arrives — the router never parses payload or trailer.
-    """
-    preamble = decode_preamble(datagram)
-    if preamble.kind != FRAME_DATA:
-        raise ViperDecodeError("not a data frame")
-    if preamble.seg_count == 0:
-        raise ViperDecodeError("no header segments remain")
-    segment, _ = decode_segment(datagram, preamble.header_len)
-    return preamble, segment
+# -- router move helpers ---------------------------------------------------
 
 
 def _flag_slick_at(buffer, offset: int) -> bool:

@@ -121,9 +121,8 @@ class LiveHost:
         # ring-slot views.  A host is where packets leave the overlay —
         # reception decodes the full frame into a SirpentPacket anyway —
         # so each view is materialised once, its slot released straight
-        # away (before any handler runs), and the per-frame path reused.
+        # away (before any handler runs), and handed to ``_on_frame``.
         self.endpoint.on_batch = self._on_batch
-        self.endpoint.on_frame = self._on_frame
         self.reliable_hops = reliable_hops
         self.ports: Dict[int, Address] = {}
         self.addr_port: Dict[Address, int] = {}

@@ -12,8 +12,7 @@ callbacks.  The endpoint provides:
   :class:`~repro.viper.ring.BufferRing` slots and hands the whole
   batch of :class:`~repro.viper.wire.PacketView` s to :attr:`on_batch`
   in one call, so the per-datagram cost of the event loop is amortised
-  N ways and no ``bytes`` object is built for the datagram
-  (:attr:`on_frame` remains as the materialising per-frame fallback),
+  N ways and no ``bytes`` object is built for the datagram,
 * **per-hop reliability** — frames sent with :meth:`LiveEndpoint.send`
   / :meth:`~LiveEndpoint.send_view` under ``reliable=True`` carry a
   hop sequence number; the receiving endpoint acks it once per drain,
@@ -35,7 +34,7 @@ callbacks.  The endpoint provides:
   fault seams off the zero-allocation path without changing them.
 
 The endpoint knows nothing about routing; routers and hosts subscribe
-via :attr:`on_batch` (views) or :attr:`on_frame` (bytes).
+via :attr:`on_batch`, the one delivery path.
 
 **View ownership**: a batch consumer owns every slot in the batch and
 must release each view (or hand it to :meth:`send_view`, which then
@@ -263,9 +262,6 @@ class LiveEndpoint:
         self.on_batch: Optional[
             Callable[[List[Tuple[PacketView, Address]]], None]
         ] = None
-        #: Per-frame fallback callback: ``on_frame(datagram, source)``
-        #: (materialises each datagram; used when ``on_batch`` is unset).
-        self.on_frame: Optional[Callable[[bytes, Address], None]] = None
         #: Called once per reliable frame abandoned after all retries.
         self.on_peer_dead: Optional[Callable[[Address], None]] = None
         #: Called on every retransmission: ``on_retry(addr, seq, gap_s)``
@@ -393,13 +389,14 @@ class LiveEndpoint:
         if reliable:
             seq = self._take_seq()
             restamp_seq_into(view.buffer, view.start, seq)
-            self._track(seq, view.mem, view.slot, addr)
         self.metrics.record_out(len(view))
         if self.fault_hook is not None or self.impairments.any():
             self._impaired_send(view.tobytes(), addr)
         else:
             self._raw_send(view.mem, addr)
-        if not reliable:
+        if reliable:
+            self._track(seq, view.mem, view.slot, addr)
+        else:
             view.release()
         return seq
 
@@ -717,11 +714,6 @@ class LiveEndpoint:
         self.rx_datagrams += len(batch)
         if self.on_batch is not None:
             self.on_batch(batch)
-        elif self.on_frame is not None:
-            for view, source in batch:
-                datagram = view.tobytes()
-                view.release()
-                self.on_frame(datagram, source)
         else:
             for view, _source in batch:
                 view.release()

@@ -1,20 +1,22 @@
 """A Sirpent router as a live asyncio UDP daemon — the overlay's driver.
 
-:class:`LiveRouter` receives VIPER frames on a real socket, decodes the
-*leading* header segment with the existing codec
-(:func:`repro.live.frames.peek_leading_segment`), runs the **same**
-sans-IO :class:`repro.dataplane.ForwardingPipeline` as the simulator's
+:class:`LiveRouter` receives whole batches of VIPER frames as ring-slot
+views (:class:`~repro.viper.wire.PacketView`), decodes the preamble and
+the *leading* header segment in place, runs the **same** sans-IO
+:class:`repro.dataplane.ForwardingPipeline` as the simulator's
 :class:`~repro.core.router.SirpentRouter` — token-cache admission, the
 §2.2 flow cache, strip/reverse/append planning — and forwards the
-rewritten bytes out the named port, which in the overlay is a UDP peer
+rewritten slot out the named port, which in the overlay is a UDP peer
 address.  Port 0 delivers locally, exactly as §5 reserves it.
 
-Sim↔live decision parity is *structural*: both routers call the one
-pipeline, so the parity tests assert plumbing, not a duplicated
-algorithm.  :meth:`LiveRouter.decide` remains as the thin entry tests
-use to probe a single decision.
+There is one forwarding path, :meth:`LiveRouter._forward_view`: the
+hop move (or the Slick-Packets splice) happens inside the frame's ring
+slot, and only a slot without tail-room for the return hop falls back
+to the materialising codec.  Sim↔live decision parity is *structural*:
+both routers call the one pipeline, so the parity tests assert
+plumbing, not a duplicated algorithm.
 
-Unsupported in the live overlay (v1): multicast fan-out/tree ports and
+Unsupported in the live overlay: multicast fan-out/tree ports and
 logical-port splicing — the pipeline is built with
 ``Capabilities(multicast=False)`` and an empty logical map, so frames
 naming them are dropped and counted, never crash the daemon.
@@ -43,11 +45,9 @@ from repro.dataplane import (
 )
 from repro.live.frames import (
     FRAME_DATA,
-    Preamble,
     decode_preamble,
     hop_move_into,
     leading_alt_block,
-    peek_leading_segment,
     return_tail_of,
     slick_reroute_into,
     slick_reroute_slow,
@@ -163,33 +163,14 @@ class LiveRouter:
             mint_secret if mint_secret is not None else f"secret:{name}".encode(),
             issuer=name,
         )
-        self.token_cache = TokenCache(
-            self.mint,
-            policy=self.config.token_policy,
-            require_tokens=self.config.require_tokens,
-        )
-        self.flow_cache = FlowCache(
-            capacity=self.config.flow_cache_capacity,
-            ttl_ms=self.config.flow_cache_ttl_ms,
-            enabled=self.config.flow_cache,
-        )
-        self.pipeline = ForwardingPipeline(
-            name,
-            token_cache=self.token_cache,
-            ports=_LivePortMap(self),
-            flow_cache=self.flow_cache,
-            capabilities=Capabilities(multicast=False),
-        )
+        self._build_soft_state()
         self.metrics = EndpointMetrics(name)
         self.endpoint = LiveEndpoint(
             name, metrics=self.metrics,
             impairments=impairments, reliability=reliability,
         )
-        # Fast path: whole batches of ring-slot views per loop wakeup.
-        # ``_on_frame`` stays wired as the materialising fallback (and as
-        # the differential oracle the fuzz suite forwards through).
+        # Whole batches of ring-slot views per loop wakeup.
         self.endpoint.on_batch = self._on_batch
-        self.endpoint.on_frame = self._on_frame
         #: Reusable hop-decision input — one mutable record the batch
         #: path restamps per frame instead of allocating per packet.
         self._hop = HopInput(
@@ -198,7 +179,7 @@ class LiveRouter:
             alternate=self._leading_alternate,
         )
         #: Frame the reusable HopInput's ``alternate`` thunk reads
-        #: (restamped per frame on the batch path, like ``_hop``).
+        #: (restamped per frame, like ``_hop``).
         self._frame_mem = None
         self._frame_header_len = 0
         #: VIPER port id -> peer UDP address.
@@ -246,23 +227,7 @@ class LiveRouter:
         :meth:`~repro.live.link.LiveEndpoint.open`'s reopen path.
         """
         port = self.address[1] if self.address is not None else 0
-        self.token_cache = TokenCache(
-            self.mint,
-            policy=self.config.token_policy,
-            require_tokens=self.config.require_tokens,
-        )
-        self.flow_cache = FlowCache(
-            capacity=self.config.flow_cache_capacity,
-            ttl_ms=self.config.flow_cache_ttl_ms,
-            enabled=self.config.flow_cache,
-        )
-        self.pipeline = ForwardingPipeline(
-            self.name,
-            token_cache=self.token_cache,
-            ports=_LivePortMap(self),
-            flow_cache=self.flow_cache,
-            capabilities=Capabilities(multicast=False),
-        )
+        self._build_soft_state()
         self.dead_ports.clear()
         self._started_at = time.monotonic()
         address = await self.endpoint.open(host, port)
@@ -272,6 +237,27 @@ class LiveRouter:
                 port=address[1] if address else 0,
             )
         return address
+
+    def _build_soft_state(self) -> None:
+        """Fresh token cache and flow cache, and the pipeline over them."""
+        config = self.config
+        self.token_cache = TokenCache(
+            self.mint,
+            policy=config.token_policy,
+            require_tokens=config.require_tokens,
+        )
+        self.flow_cache = FlowCache(
+            capacity=config.flow_cache_capacity,
+            ttl_ms=config.flow_cache_ttl_ms,
+            enabled=config.flow_cache,
+        )
+        self.pipeline = ForwardingPipeline(
+            self.name,
+            token_cache=self.token_cache,
+            ports=_LivePortMap(self),
+            flow_cache=self.flow_cache,
+            capabilities=Capabilities(multicast=False),
+        )
 
     def set_tracer(self, tracer) -> None:
         """Install a :class:`repro.obs.trace.Tracer` on this router."""
@@ -321,64 +307,30 @@ class LiveRouter:
         """The router's bound UDP address (None before :meth:`start`)."""
         return self.endpoint.address
 
-    # -- decide (pipeline) then apply (driver) -----------------------------
+    # -- the reusable HopInput's thunks -----------------------------------
 
-    def decide(
-        self,
-        preamble: Preamble,
-        segment: HeaderSegment,
-        in_port: int = UNKNOWN_IN_PORT,
-        alternate: Optional[Callable[[], Optional[List[HeaderSegment]]]] = None,
-    ) -> Decision:
-        """One switching decision through the shared sans-IO pipeline.
-
-        ``in_port`` is the VIPER port the frame arrived on;
-        :data:`~repro.dataplane.UNKNOWN_IN_PORT` (tests probing a bare
-        decision, frames from unwired peers) still yields the full
-        verdict but no return segment and no flow-cache install.
-        ``alternate`` supplies the frame's leading Slick-Packets block
-        to the reroute stage (None = the frame carries none).
-        """
-        return self.pipeline.decide(HopInput(
-            segment=segment,
-            seg_count=preamble.seg_count,
-            # Charged size: the payload length the preamble declares
-            # (the sim charges the full structural wire size).
-            wire_size=preamble.payload_len,
-            in_port=in_port,
-            now_ms=self._now_ms(),
-            reverse_portinfo=lambda: self._reverse_portinfo(segment),
-            alternate=alternate if alternate is not None else lambda: None,
-        ))
-
-    @staticmethod
-    def _reverse_portinfo(segment: HeaderSegment) -> bytes:
+    def _reverse_hop_portinfo(self) -> bytes:
         """Reverse the hop's network-specific bytes for the return route.
 
         An Ethernet-shaped portInfo is reversed (src/dst swap); a
         point-to-point/UDP hop's is empty — the same link-layer rule the
         sim driver applies to its arrival transmission.
         """
-        if len(segment.portinfo) == ETHERNET_INFO_BYTES:
+        portinfo = self._hop.segment.portinfo
+        if len(portinfo) == ETHERNET_INFO_BYTES:
             try:
-                return EthernetInfo.from_bytes(
-                    segment.portinfo
-                ).reversed().to_bytes()
+                return EthernetInfo.from_bytes(portinfo).reversed().to_bytes()
             except ViperDecodeError:  # pragma: no cover - length-checked
                 return b""
         return b""
 
-    def _reverse_hop_portinfo(self) -> bytes:
-        """`reverse_portinfo` thunk for the reusable batch-path HopInput."""
-        return self._reverse_portinfo(self._hop.segment)
-
     def _leading_alternate(self) -> Optional[List[HeaderSegment]]:
-        """`alternate` thunk for the reusable batch-path HopInput."""
+        """The frame's leading Slick-Packets block (None = it has none)."""
         return leading_alt_block(
             self._frame_mem, self._frame_header_len, self._hop.seg_count
         )
 
-    # -- the zero-allocation batch path ------------------------------------
+    # -- the forwarding path ------------------------------------------------
 
     def _on_batch(self, batch: List[Tuple[PacketView, Address]]) -> None:
         """Forward one endpoint wakeup's worth of frames, in place.
@@ -395,15 +347,18 @@ class LiveRouter:
     def _forward_view(self, view: PacketView, source: Address) -> None:
         """One frame through decide-then-apply without leaving its slot.
 
-        The strip/reverse/append move happens *inside* the ring slot
-        (:func:`~repro.live.frames.hop_move_into`): the preamble is
-        rewritten just before the surviving segments and the memoized
-        return tail (``Decision.return_tail``, encoded once at
-        flow-cache install) lands in the slot's tail-room.  Only a slot
-        with no tail-room left falls back to the materialising
-        :func:`~repro.live.frames.strip_and_append` — byte-exact by the
-        differential fuzz suite, so the fallback is a performance
-        seam, not a behavioural one.
+        The move step rewrites the frame *inside* its ring slot:
+        :func:`~repro.live.frames.hop_move_into` strips the leading
+        segment, or :func:`~repro.live.frames.slick_reroute_into`
+        splices in its alternate block when the pipeline reroutes.  The
+        preamble is rewritten just before the surviving segments and
+        the memoized return tail (``Decision.return_tail``, encoded once
+        at flow-cache install) lands in the slot's tail-room.  Only a
+        slot with no tail-room left materialises the frame through
+        :func:`~repro.live.frames.strip_and_append` or
+        :func:`~repro.live.frames.slick_reroute_slow` — byte-exact by
+        the differential suites, so the fallback is a performance seam,
+        not a behavioural one.
         """
         mem = view.mem
         try:
@@ -451,69 +406,57 @@ class LiveRouter:
             return
         # FORWARD (FANOUT cannot happen: multicast=False drops earlier).
         if in_port == UNKNOWN_IN_PORT:
+            # A frame from an unwired peer cannot get a correct return
+            # hop; refusing it mirrors Sirpent's "routes only work when
+            # every hop is reversible".  The decision above still ran
+            # the token cache.
             view.release()
             apply_drop(sink, Decision(Action.DROP, reason="unknown_peer"))
             return
         sink.trace_event(
             "switch_decision", in_port=in_port, out_port=decision.out_port,
         )
-        tail = decision.return_tail
-        if tail is None:
-            # Cold decision (or rebuilt return hop): encode the tail once.
-            try:
-                tail = return_tail_of(decision.return_segment)
-            except ValueError:
-                view.release()
-                apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                return
-        dest = self.ports[decision.out_port]
-        if decision.slick_reroute:
-            self._count_slick_reroute(sink, in_port, decision)
-            try:
-                moved = slick_reroute_into(view, tail, preamble)
-            except ViperDecodeError:
-                # The bytes contradict the decision (no slick block
-                # where the thunk just decoded one): corrupt frame.
-                view.release()
-                apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                return
-            if moved:
-                self._count_forward(sink, in_port, decision)
-                self.endpoint.send_view(
-                    view, dest, reliable=self.config.reliable_hops,
-                )
-                return
-            # No tail-room (or a stale view): materialise this frame.
-            datagram = view.tobytes()
-            view.release()
-            try:
-                forwarded = slick_reroute_slow(
-                    datagram, decision.return_segment
-                )
-            except (ViperDecodeError, ValueError):
-                apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-                return
-            self._count_forward(sink, in_port, decision)
-            self.endpoint.send(
-                forwarded, dest, reliable=self.config.reliable_hops
-            )
-            return
-        if hop_move_into(view, tail, preamble, next_rel=segment.end):
-            self._count_forward(sink, in_port, decision)
-            self.endpoint.send_view(
-                view, dest, reliable=self.config.reliable_hops,
-            )
-            return
-        # No tail-room left in the slot: materialise this one frame.
-        datagram = view.tobytes()
-        view.release()
+        forwarded = None
         try:
-            forwarded = strip_and_append(datagram, decision.return_segment)
+            tail = decision.return_tail
+            if tail is None:
+                # Cold decision (or rebuilt return hop): encode it once.
+                tail = return_tail_of(decision.return_segment)
+            if decision.slick_reroute:
+                self._count_slick_reroute(sink, in_port, decision)
+                moved = slick_reroute_into(view, tail, preamble)
+            else:
+                moved = hop_move_into(
+                    view, tail, preamble, next_rel=segment.end
+                )
+            if not moved:
+                # No tail-room left in the slot: materialise this frame.
+                if decision.slick_reroute:
+                    forwarded = slick_reroute_slow(
+                        view.tobytes(), decision.return_segment
+                    )
+                else:
+                    forwarded = strip_and_append(
+                        view.tobytes(), decision.return_segment
+                    )
         except (ViperDecodeError, ValueError):
+            # The bytes contradict the decision (no slick block where
+            # the thunk just decoded one), or the return hop is too
+            # large to frame: drop the frame as corrupt.
+            view.release()
             apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
             return
         self._count_forward(sink, in_port, decision)
-        self.endpoint.send(forwarded, dest, reliable=self.config.reliable_hops)
+        dest = self.ports[decision.out_port]
+        if forwarded is None:
+            self.endpoint.send_view(
+                view, dest, reliable=self.config.reliable_hops,
+            )
+        else:
+            view.release()
+            self.endpoint.send(
+                forwarded, dest, reliable=self.config.reliable_hops,
+            )
 
     def _count_slick_reroute(
         self, sink: _LiveEffectSink, in_port: int, decision: Decision,
@@ -542,79 +485,6 @@ class LiveRouter:
                 "frame_forwarded", node=self.name,
                 in_port=in_port, out_port=decision.out_port,
             )
-
-    # -- the materialising fallback path -----------------------------------
-
-    def _on_frame(self, datagram: bytes, source: Address) -> None:
-        try:
-            preamble, segment = peek_leading_segment(datagram)
-        except ViperDecodeError:
-            # Line noise / malformed frame: drop and count, never crash.
-            # No preamble decoded, so no trace id — the sink still keeps
-            # the counter and the (no-op) trace in one applicator.
-            apply_drop(
-                _LiveEffectSink(self, 0),
-                Decision(Action.DROP, reason="undecodable"),
-            )
-            return
-        sink = _LiveEffectSink(self, preamble.trace_id)
-        in_port = self.addr_port.get(source, UNKNOWN_IN_PORT)
-        if self.dead_ports:
-            self._revive_port(in_port)
-        decision = self.decide(
-            preamble, segment, in_port=in_port,
-            alternate=lambda: leading_alt_block(
-                datagram, preamble.header_len, preamble.seg_count
-            ),
-        )
-        if decision.action is Action.DROP:
-            apply_drop(sink, decision)
-            return
-        if decision.action is Action.DELIVER_LOCAL:
-            self.metrics.delivered_local += 1
-            sink.trace_event("deliver_local")
-            if self.recorder.enabled:
-                self.recorder.record("frame_delivered", node=self.name)
-            if self.local_handler is not None:
-                self.local_handler(datagram, source)
-            return
-        # FORWARD (FANOUT cannot happen: multicast=False drops earlier).
-        if in_port == UNKNOWN_IN_PORT:
-            # A frame from an unwired peer cannot get a correct return
-            # hop; refusing it mirrors Sirpent's "routes only work when
-            # every hop is reversible".  The decision above still ran
-            # the token cache, matching the pre-refactor drop order.
-            apply_drop(sink, Decision(Action.DROP, reason="unknown_peer"))
-            return
-        sink.trace_event(
-            "switch_decision", in_port=in_port, out_port=decision.out_port,
-        )
-        try:
-            if decision.slick_reroute:
-                self._count_slick_reroute(sink, in_port, decision)
-                forwarded = slick_reroute_slow(
-                    datagram, decision.return_segment
-                )
-            else:
-                forwarded = strip_and_append(datagram, decision.return_segment)
-        except (ViperDecodeError, ValueError):
-            apply_drop(sink, Decision(Action.DROP, reason="undecodable"))
-            return
-        self.metrics.forwarded += 1
-        sink.trace_event(
-            "strip_reverse_append",
-            out_port=decision.out_port,
-            segments_left=decision.segments_left,
-        )
-        if self.recorder.enabled:
-            self.recorder.record(
-                "frame_forwarded", node=self.name,
-                in_port=in_port, out_port=decision.out_port,
-            )
-        self.endpoint.send(
-            forwarded, self.ports[decision.out_port],
-            reliable=self.config.reliable_hops,
-        )
 
     def _now_ms(self) -> int:
         return int((time.monotonic() - self._started_at) * 1000)

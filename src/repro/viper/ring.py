@@ -29,7 +29,7 @@ owns memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 #: Default slot count per ring.
 DEFAULT_SLOTS = 128

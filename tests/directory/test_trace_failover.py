@@ -8,8 +8,6 @@ replicas).  This is the observability counterpart of the dedup
 guarantee — retries reuse the request id *and* the trace.
 """
 
-import pytest
-
 from repro.directory.cluster.client import ClusterClient
 from repro.directory.cluster.cluster import DirectoryCluster
 from repro.obs.trace import Tracer, tree_of

@@ -2,8 +2,8 @@
 
 The acceptance criteria exercised here:
 
-* a **v1** client (no ``v`` field) interoperates with a v2 server —
-  same frames, same response shapes as PR 1;
+* a frame outside v2 (no ``v``, not JSON, not an object) gets a
+  typed failure, never a crash or a silent execution;
 * a replayed v2 write returns the **byte-identical** cached response
   and is never re-executed;
 * in-flight commands on one connection complete concurrently — a slow
@@ -80,29 +80,11 @@ async def _raw_exchange(address, lines):
     return out
 
 
-# -- v1 interop ------------------------------------------------------------
+# -- frames outside v2 ----------------------------------------------------
 
-def test_v1_client_interoperates_with_v2_server():
-    async def scenario():
-        server = LiveDirectoryServer(lambda client, query: [_route()])
-        address = await server.start()
-        client = LiveDirectoryClient("legacy", protocol_version=1)
-        await client.connect(address)
-        assert await client.ping()
-        routes = await client.routes("server.region.net", k=1)
-        client.close()
-        server.stop()
-        return routes, server.v1_frames, server.v2_frames
-
-    routes, v1_frames, v2_frames = asyncio.run(scenario())
-    assert len(routes) == 1
-    assert routes[0].destination == "server.region.net"
-    assert v1_frames == 2 and v2_frames == 0
-
-
-def test_v1_response_shape_is_untouched():
-    """A v-less frame gets a PR 1 response: ``result``, no ``v``, no
-    ``status`` — pinned at the byte level so old parsers keep working."""
+def test_versionless_frame_is_version_unsupported():
+    """A frame without ``v`` (the retired implicit v1) gets the typed
+    ``version_unsupported`` failure, correlated by its id."""
 
     async def scenario():
         server = LiveDirectoryServer(lambda client, query: [])
@@ -111,16 +93,17 @@ def test_v1_response_shape_is_untouched():
             '{"id": "q-1", "method": "ping", "params": {}}\n',
         ])
         server.stop()
-        return json.loads(line.decode())
+        return json.loads(line.decode()), server.errors
 
-    response = asyncio.run(scenario())
-    assert response == {"id": "q-1", "result": {"pong": True}}
+    response, errors = asyncio.run(scenario())
+    assert response["id"] == "q-1"
+    assert response["status"] == "failure"
+    assert response["error"]["code"] == "version_unsupported"
+    assert response["error"]["details"]["supported"] == [2]
+    assert errors == 1
 
 
-def test_v1_writes_are_unknown_methods():
-    """Writes arrived with v2; a v1 frame asking for one gets the v1
-    error shape, not a crash or a silent execution."""
-
+def test_versionless_write_is_refused_unexecuted():
     async def scenario():
         backend = _Backend()
         server = LiveDirectoryServer(
@@ -135,8 +118,38 @@ def test_v1_writes_are_unknown_methods():
         return json.loads(line.decode()), backend.executions
 
     response, executions = asyncio.run(scenario())
-    assert "error" in response
+    assert response["error"]["code"] == "version_unsupported"
     assert executions == 0
+
+
+@pytest.mark.parametrize("line", [
+    b"not json\n",
+    b"\xff\xfe\n",            # not UTF-8
+    b"[1, 2]\n",
+    b"null\n",
+    b'"ping"\n',
+])
+def test_unparseable_or_non_object_line_is_bad_request(line):
+    """Garbage and non-object JSON get a typed ``bad_request`` with an
+    empty id, and the connection keeps serving."""
+
+    async def scenario():
+        server = LiveDirectoryServer(lambda client, query: [])
+        address = await server.start()
+        bad, good = await _raw_exchange(address, [
+            line,
+            '{"v": 2, "id": "q-2", "method": "ping", "params": {}}\n',
+        ])
+        server.stop()
+        return json.loads(bad.decode()), json.loads(good.decode())
+
+    bad, good = asyncio.run(scenario())
+    assert bad == {
+        "error": bad["error"], "id": "", "status": "failure", "v": 2,
+    }
+    assert bad["error"]["code"] == "bad_request"
+    assert good["status"] == "success"
+    assert good["result"] == {"pong": True}
 
 
 # -- v2 typed protocol -----------------------------------------------------

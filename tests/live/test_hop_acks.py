@@ -27,6 +27,18 @@ from repro.viper.wire import HeaderSegment, PacketView
 pytestmark = pytest.mark.live
 
 
+def collect_datagrams(into):
+    """An ``on_batch`` consumer that keeps each frame's bytes and gives
+    its ring slot back."""
+
+    def on_batch(batch):
+        for view, _source in batch:
+            into.append(view.tobytes())
+            view.release()
+
+    return on_batch
+
+
 def _frame(payload: bytes = b"x") -> bytes:
     packet = SirpentPacket(
         segments=[HeaderSegment(port=0)], payload_size=len(payload),
@@ -68,7 +80,7 @@ def test_one_drain_sends_one_ack_and_frees_every_pinned_slot():
         sender = LiveEndpoint("sender")
         receiver = LiveEndpoint("receiver")
         delivered = []
-        receiver.on_frame = lambda data, addr: delivered.append(data)
+        receiver.on_batch = collect_datagrams(delivered)
         await sender.open()
         addr = await receiver.open()
         free_before = sender.ring.available()
@@ -98,7 +110,6 @@ def test_two_peers_in_one_drain_get_one_ack_each():
     async def scenario():
         left, right = LiveEndpoint("left"), LiveEndpoint("right")
         receiver = LiveEndpoint("receiver")
-        receiver.on_frame = lambda data, addr: None
         acked = _record_acks(receiver)
         await left.open()
         await right.open()
@@ -127,7 +138,7 @@ def test_dropped_frame_is_retried_and_its_duplicate_reacked():
         )
         receiver = LiveEndpoint("receiver")
         delivered = []
-        receiver.on_frame = lambda data, addr: delivered.append(data)
+        receiver.on_batch = collect_datagrams(delivered)
         acked = _record_acks(receiver)
         # First transmission lost; the retry arrives with a twin.
         fates = [FaultDecision(drop=True), FaultDecision(duplicate=True)]
@@ -214,7 +225,7 @@ def test_hop_sequence_wraps_past_two_to_the_32():
         sender = LiveEndpoint("sender")
         receiver = LiveEndpoint("receiver")
         delivered = []
-        receiver.on_frame = lambda data, addr: delivered.append(data)
+        receiver.on_batch = collect_datagrams(delivered)
         await sender.open()
         addr = await receiver.open()
         sender._next_seq = 0xFFFFFFFE
@@ -248,7 +259,6 @@ def test_malformed_ack_is_dropped_undecodable(ack):
     async def scenario():
         sender = LiveEndpoint("sender")
         receiver = LiveEndpoint("receiver")
-        receiver.on_frame = lambda data, addr: None
         await sender.open()
         addr = await receiver.open()
         sender.send(ack, addr)

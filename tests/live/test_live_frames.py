@@ -20,12 +20,11 @@ from repro.live.frames import (
     encode_acks,
     encode_live_frame,
     encode_preamble,
-    peek_leading_segment,
     strip_and_append,
 )
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket, TrailerElement, build_return_route
-from repro.viper.wire import HeaderSegment
+from repro.viper.wire import HeaderSegment, parse_segment_view
 
 
 def _packet(payload: bytes) -> SirpentPacket:
@@ -136,12 +135,15 @@ def test_live_frame_roundtrip():
     ]
 
 
-def test_peek_matches_full_decode():
+def test_router_parse_matches_full_decode():
+    """The router's in-place parse (preamble + leading segment view)
+    agrees with the full structural decode."""
     payload = b"x" * 64
     packet = _packet(payload)
     datagram = encode_live_frame(packet, payload)
-    preamble, leading = peek_leading_segment(datagram)
-    assert leading == packet.segments[0]
+    preamble = decode_preamble(datagram)
+    leading = parse_segment_view(datagram, preamble.header_len)
+    assert leading.to_segment() == packet.segments[0]
     assert preamble.payload_len == len(payload)
 
 

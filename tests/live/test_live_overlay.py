@@ -37,6 +37,18 @@ async def _eventually(predicate, timeout_s: float = 2.0) -> None:
         await asyncio.sleep(0.005)
 
 
+def collect_datagrams(into):
+    """An ``on_batch`` consumer that keeps each frame's bytes and gives
+    its ring slot back."""
+
+    def on_batch(batch):
+        for view, _source in batch:
+            into.append(view.tobytes())
+            view.release()
+
+    return on_batch
+
+
 def _line_topology():
     """client — r1 — r2 — server, point-to-point."""
     sim = Simulator()
@@ -77,7 +89,7 @@ def test_udp_socketpair_roundtrip():
         sender = LiveEndpoint("a")
         receiver = LiveEndpoint("b")
         received = []
-        receiver.on_frame = lambda data, addr: received.append(data)
+        receiver.on_batch = collect_datagrams(received)
         await sender.open()
         addr = await receiver.open()
         payload = b"over a real socket"
@@ -107,7 +119,6 @@ def test_reliable_send_acks_and_dead_peer():
         sender = LiveEndpoint("a")
         sender.reliability.ack_timeout_s = 0.02
         receiver = LiveEndpoint("b")
-        receiver.on_frame = lambda data, addr: None
         await sender.open()
         addr = await receiver.open()
         payload = b"x"

@@ -10,8 +10,8 @@ Three layers, matching the zero-copy fastpath suite's discipline:
   over hostile bytes;
 * **driver e2e** — a LiveRouter whose egress peer stopped acking
   forwards slick frames out the in-band alternate (counting
-  ``slick_reroutes``), drops exhausted ones cleanly, and the batch and
-  frame paths agree byte-for-byte;
+  ``slick_reroutes``) and drops exhausted ones cleanly, byte-for-byte
+  as the structural oracle (:mod:`tests.live.router_oracle`) says;
 * **sim ↔ live parity** — the same diamond topology with the same dead
   link reroutes identically on both substrates: same delivered
   payload, same reversed return route, same reroute/forward counters.
@@ -37,13 +37,13 @@ from repro.live.frames import (
     slick_reroute_slow,
 )
 from repro.live.host import LiveRoute
-from repro.live.router import LiveRouter
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket
 from repro.viper.ring import BufferRing
 from repro.viper.wire import HeaderSegment, PacketView
+from tests.live.router_oracle import capture_router, drive
 
 
 def slick_frame(
@@ -271,82 +271,68 @@ class TestLeadingAltBlockTotality:
             assert block is None or isinstance(block, list)
 
 
-def _capture_router(name):
-    """A LiveRouter whose endpoint transmits into a list, not a socket."""
-    router = LiveRouter(name)
-    sent = []
-
-    def send_view(view, addr, reliable=False):
-        sent.append((view.tobytes(), addr))
-        view.release()
-        return 0
-
-    def send(datagram, addr, reliable=False):
-        sent.append((bytes(datagram), addr))
-        return 0
-
-    router.endpoint.send_view = send_view
-    router.endpoint.send = send
-    router.connect_port(1, ("127.0.0.1", 9001))
-    router.connect_port(2, ("127.0.0.1", 9002))
-    router.connect_port(3, ("127.0.0.1", 9003))
-    return router, sent
+PORTS = {
+    1: ("127.0.0.1", 9001),
+    2: ("127.0.0.1", 9002),
+    3: ("127.0.0.1", 9003),
+}
 
 
 class TestLiveRouterFailover:
-    """Driver-level e2e: dead peer -> in-band reroute, both frame paths."""
+    """Driver-level e2e: dead peer -> in-band reroute, against the
+    structural oracle (:mod:`tests.live.router_oracle`)."""
 
-    SOURCE = ("127.0.0.1", 9001)
+    SOURCE = PORTS[1]
     FRAME = slick_frame(
         [HeaderSegment(port=2, slick=True), HeaderSegment(port=0)],
         [[HeaderSegment(port=3), HeaderSegment(port=0)]],
     )
 
+    def _router(self, dead=()):
+        router, sent = capture_router("r", PORTS)
+        for port in dead:
+            router._on_peer_dead(PORTS[port])
+        assert router.dead_ports == set(dead)
+        return router, sent
+
     def test_dead_peer_reroutes_out_the_alternate(self):
-        router, sent = _capture_router("r")
-        router._on_peer_dead(("127.0.0.1", 9002))
-        assert router.dead_ports == {2}
-        router._on_frame(self.FRAME, self.SOURCE)
+        router, sent = self._router(dead=(2,))
+        drive(router, sent, [(self.FRAME, self.SOURCE)], BufferRing(slots=2))
         assert router.metrics.slick_reroutes == 1
         assert router.metrics.forwarded == 1
         assert len(sent) == 1
         forwarded, dest = sent[0]
-        assert dest == ("127.0.0.1", 9003)
+        assert dest == PORTS[3]
         _, packet, payload = decode_live_frame(forwarded)
         assert [s.port for s in packet.segments] == [0]
         assert packet.alternates == []
         assert payload == b"hello world"
 
-    def test_batch_and_frame_paths_agree_byte_for_byte(self):
-        fast, fast_sent = _capture_router("fast")
-        oracle, oracle_sent = _capture_router("oracle")
-        for router in (fast, oracle):
-            router._on_peer_dead(("127.0.0.1", 9002))
+    def test_warm_reroutes_match_the_oracle(self):
+        router, sent = self._router(dead=(2,))
         ring = BufferRing(slots=4)
-        for _ in range(3):  # cold install + two warm cache passes
-            view = _slot_view(ring, self.FRAME)
-            fast._on_batch([(view, self.SOURCE)])
-            oracle._on_frame(self.FRAME, self.SOURCE)
-        assert fast_sent == oracle_sent
-        assert len(fast_sent) == 3
-        assert fast.metrics.slick_reroutes == oracle.metrics.slick_reroutes
+        # Cold install + two warm cache passes.
+        drive(router, sent, [(self.FRAME, self.SOURCE)] * 3, ring)
+        assert len(sent) == 3
+        assert router.flow_cache.stats.hits == 2
+        assert router.metrics.slick_reroutes == 3
         assert ring.available() == 4
 
     def test_exhausted_alternate_drops_cleanly(self):
-        router, sent = _capture_router("r")
-        router._on_peer_dead(("127.0.0.1", 9002))
-        router._on_peer_dead(("127.0.0.1", 9003))  # the alternate too
-        router._on_frame(self.FRAME, self.SOURCE)
+        router, sent = self._router(dead=(2, 3))  # the alternate too
+        ring = BufferRing(slots=2)
+        drive(router, sent, [(self.FRAME, self.SOURCE)], ring)
         assert sent == []
         assert router.metrics.dropped("slick_fallback_exhausted") == 1
         assert router.metrics.slick_reroutes == 0
+        assert ring.available() == 2
 
     def test_healthy_egress_never_reroutes(self):
-        router, sent = _capture_router("r")
-        router._on_frame(self.FRAME, self.SOURCE)
+        router, sent = self._router()
+        drive(router, sent, [(self.FRAME, self.SOURCE)], BufferRing(slots=2))
         assert router.metrics.slick_reroutes == 0
         assert len(sent) == 1
-        assert sent[0][1] == ("127.0.0.1", 9002)
+        assert sent[0][1] == PORTS[2]
 
 
 # -- sim <-> live parity -----------------------------------------------------

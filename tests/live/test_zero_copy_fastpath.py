@@ -21,10 +21,11 @@ from repro.live.frames import (
     restamp_seq,
     restamp_seq_into,
     return_tail_of,
+    slick_reroute_slow,
     strip_and_append,
     strip_and_append_slow,
 )
-from repro.live.router import LiveRouter
+from repro.live import router as router_module
 from repro.viper.errors import ViperDecodeError
 from repro.viper.packet import SirpentPacket, TrailerElement
 from repro.viper.ring import BufferRing
@@ -35,6 +36,7 @@ from repro.viper.wire import (
     encode_segment,
     segment_span,
 )
+from tests.live.router_oracle import capture_router, drive
 
 
 def frame(segments, payload=b"hello world", trailer=(), trace_id=0, seq=0):
@@ -46,6 +48,16 @@ def frame(segments, payload=b"hello world", trailer=(), trace_id=0, seq=0):
         trace_id=trace_id,
     )
     return encode_live_frame(packet, payload, seq=seq, trace_id=trace_id)
+
+
+def frame_with_alternates(segments, alternates, payload=b"hello world"):
+    packet = SirpentPacket(
+        segments=list(segments),
+        payload_size=len(payload),
+        payload=payload,
+        alternates=[list(block) for block in alternates],
+    )
+    return encode_live_frame(packet, payload)
 
 
 FRAME_SHAPES = {
@@ -267,51 +279,34 @@ class TestHopMoveInPlace:
         view.release()
 
 
-def _capture_router(name):
-    """A LiveRouter whose endpoint transmits into a list, not a socket."""
-    router = LiveRouter(name)
-    sent = []
-
-    def send_view(view, addr, reliable=False):
-        sent.append((view.tobytes(), addr))
-        view.release()
-        return 0
-
-    def send(datagram, addr, reliable=False):
-        sent.append((bytes(datagram), addr))
-        return 0
-
-    router.endpoint.send_view = send_view
-    router.endpoint.send = send
-    router.connect_port(1, ("127.0.0.1", 9001))
-    router.connect_port(2, ("127.0.0.1", 9002))
-    return router, sent
+PORTS = {
+    1: ("127.0.0.1", 9001),
+    2: ("127.0.0.1", 9002),
+    3: ("127.0.0.1", 9003),
+}
 
 
 class TestBatchedForwardingDifferential:
-    """The batched view path forwards the same bytes as the bytes path.
+    """The one forwarding path agrees with the structural oracle.
 
     ``LiveRouter._on_batch`` (ring slots, in-place hop move, memoized
-    return tails) against ``LiveRouter._on_frame`` (the materialising
-    oracle) on two identically configured routers: every forwarded
-    datagram, destination, and drop counter must agree — including
-    warm flow-cache passes where the fast path appends a memoized
-    ``Decision.return_tail`` it never re-encoded.
+    return tails) is checked frame by frame against
+    :func:`tests.live.router_oracle.expected_fate`, which decodes the
+    whole frame and builds the forwarded bytes with the structural
+    codec: every forwarded datagram, destination and counter must
+    agree — including warm flow-cache passes where the router appends a
+    memoized ``Decision.return_tail`` it never re-encoded.
     """
 
-    SOURCE = ("127.0.0.1", 9001)
+    SOURCE = PORTS[1]
 
-    def _feed(self, datagrams):
-        fast, fast_sent = _capture_router("fast")
-        oracle, oracle_sent = _capture_router("oracle")
-        ring = BufferRing(slots=8)
-        views = []
-        for datagram in datagrams:
-            view = _slot_view(ring, datagram)
-            views.append(view)
-            fast._on_batch([(view, self.SOURCE)])
-            oracle._on_frame(datagram, self.SOURCE)
-        return fast, oracle, fast_sent, oracle_sent, ring, views
+    def _feed(self, datagrams, slots=8):
+        router, sent = capture_router("fast", PORTS)
+        ring = BufferRing(slots=slots)
+        views = drive(
+            router, sent, [(d, self.SOURCE) for d in datagrams], ring,
+        )
+        return router, sent, ring, views
 
     def test_fuzz_forwarded_bytes_identical(self):
         rng = random.Random(0xBA7C4)
@@ -338,11 +333,10 @@ class TestBatchedForwardingDifferential:
                 ),
                 trace_id=rng.getrandbits(64) if rng.random() < 0.2 else 0,
             ))
-        fast, oracle, fast_sent, oracle_sent, _, _ = self._feed(datagrams)
-        assert fast_sent == oracle_sent
-        assert len(fast_sent) == len(datagrams)
-        assert all(addr == ("127.0.0.1", 9002) for _, addr in fast_sent)
-        assert fast.metrics.forwarded == oracle.metrics.forwarded
+        router, sent, _, _ = self._feed(datagrams)
+        assert len(sent) == len(datagrams)
+        assert all(addr == PORTS[2] for _, addr in sent)
+        assert router.metrics.forwarded == len(datagrams)
 
     def test_warm_flow_reuses_memoized_tail_byte_exactly(self):
         # The same flow three times: pass 1 is the cold install, passes
@@ -351,33 +345,24 @@ class TestBatchedForwardingDifferential:
             [HeaderSegment(port=2, portinfo=bytes(range(14))),
              HeaderSegment(port=0)],
         )
-        fast, oracle, fast_sent, oracle_sent, _, _ = self._feed([datagram] * 3)
-        assert fast.flow_cache.stats.hits == 2
-        assert fast_sent == oracle_sent
+        router, sent, _, _ = self._feed([datagram] * 3)
+        assert router.flow_cache.stats.hits == 2
+        assert len(sent) == 3
 
     def test_drops_agree_and_release_slots(self):
         undecodable = b"\x00\x01garbage"
         unknown_peer = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
         no_route = frame([HeaderSegment(port=99), HeaderSegment(port=0)])
-        fast, fast_sent = _capture_router("fast")
-        oracle, oracle_sent = _capture_router("oracle")
+        router, sent = capture_router("fast", PORTS)
         ring = BufferRing(slots=4)
-        cases = [
+        views = drive(router, sent, [
             (undecodable, self.SOURCE),
             (unknown_peer, ("10.9.9.9", 1)),  # unwired peer
             (no_route, self.SOURCE),
-        ]
-        views = []
-        for datagram, source in cases:
-            view = _slot_view(ring, datagram)
-            views.append(view)
-            fast._on_batch([(view, source)])
-            oracle._on_frame(datagram, source)
-        assert fast_sent == oracle_sent == []
+        ], ring)
+        assert sent == []
         for reason in ("undecodable", "unknown_peer", "no_route"):
-            assert fast.metrics.drops.get(reason) == oracle.metrics.drops.get(
-                reason
-            ), reason
+            assert router.metrics.dropped(reason) == 1, reason
         # Every slot came back to the ring; no escaped view is alive.
         assert ring.available() == 4
         assert all(not view.alive() for view in views)
@@ -385,6 +370,41 @@ class TestBatchedForwardingDifferential:
     def test_every_batch_slot_is_recycled(self):
         """No view escapes its ring slot alive through the batch path."""
         datagram = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
-        fast, _, _, _, ring, views = self._feed([datagram] * 6)
+        _, _, ring, views = self._feed([datagram] * 6)
         assert ring.available() == 8
         assert all(not view.alive() for view in views)
+
+    def test_tail_room_miss_materialises_once(self, monkeypatch):
+        """A slot with no room for the return tail forwards the frame
+        through the materialising codec: same bytes as the structural
+        move, one forward counted, every slot back in the ring."""
+        fallbacks = []
+        for name in ("strip_and_append", "slick_reroute_slow"):
+            # The router calls its fallbacks by module-global name.
+            real = getattr(router_module, name)
+            monkeypatch.setattr(
+                router_module, name,
+                lambda *args, _real=real, _name=name: (
+                    fallbacks.append(_name) or _real(*args)
+                ),
+            )
+        plain = frame([HeaderSegment(port=2), HeaderSegment(port=0)])
+        slick = frame_with_alternates(
+            [HeaderSegment(port=2, slick=True), HeaderSegment(port=0)],
+            [[HeaderSegment(port=3), HeaderSegment(port=0)]],
+        )
+        ret = HeaderSegment(port=1)
+        for datagram, dead, oracle, dest in (
+            (plain, (), strip_and_append_slow, PORTS[2]),
+            (slick, (PORTS[2],), slick_reroute_slow, PORTS[3]),
+        ):
+            router, sent = capture_router("tight", PORTS)
+            for peer in dead:
+                router._on_peer_dead(peer)
+            ring = BufferRing(slots=2, slot_bytes=len(datagram) + 2)
+            views = drive(router, sent, [(datagram, self.SOURCE)], ring)
+            assert sent == [(oracle(datagram, ret), dest)]
+            assert router.metrics.forwarded == 1
+            assert ring.available() == 2
+            assert all(not view.alive() for view in views)
+        assert fallbacks == ["strip_and_append", "slick_reroute_slow"]

@@ -120,6 +120,88 @@ def test_sir009_fires_on_raw_view_escape_onto_self():
     assert any("escape" in f.symbol for f in by_rule(findings, "SIR009"))
 
 
+def test_sir009_socket_receive_borrows_the_slot():
+    """Filling a slot with a socket receive keeps it owned: the probe
+    that receives and returns without releasing leaks it."""
+    findings = analyze(
+        """
+        def probe(ring, sock):
+            slot = ring.acquire()
+            sock.recv_into(slot.view)
+            return
+        """,
+        "repro.live.fixture",
+    )
+    assert rules_fired(findings) == ["SIR009"]
+    assert any("leak" in f.symbol for f in by_rule(findings, "SIR009"))
+
+
+_DRAIN = """
+class Endpoint:
+    def drain(self):
+        ring = self.ring
+        buffers = self._recv_buffers
+        batch = []
+        for _ in range(self.rx_batch):
+            slot = ring.acquire()
+            buffers[0] = slot.view
+            try:
+                nbytes, _anc, flags, addr = self._sock.recvmsg_into(buffers)
+            except BlockingIOError:
+                ring.release(slot)
+                break
+            finally:
+                buffers[0] = None
+            data = slot.view[:nbytes]
+            acked = decode_ack_seqs(data)
+            if acked is not None:
+                ring.release(slot)
+                self._on_ack(acked)
+                continue
+            batch.append((PacketView.of_slot(slot, nbytes), addr))
+        self.on_batch(batch)
+"""
+
+
+def test_sir009_receive_loop_balanced_is_clean():
+    """The ``_on_readable`` shape: receive into a slot through the
+    reused buffer list, release acks, hand data slots to views."""
+    assert rules_fired(analyze(_DRAIN, "repro.live.fixture")) == []
+
+
+def test_sir009_receive_loop_skipping_the_ack_release_leaks():
+    """Dropping the ack branch's release leaks the slot even though
+    the data branch of the same loop moves its slot into a view."""
+    leaky = _DRAIN.replace(
+        """            if acked is not None:
+                ring.release(slot)
+""",
+        """            if acked is not None:
+""",
+    )
+    assert leaky != _DRAIN
+    findings = analyze(leaky, "repro.live.fixture")
+    assert rules_fired(findings) == ["SIR009"]
+    assert any("leak" in f.symbol for f in by_rule(findings, "SIR009"))
+
+
+def test_sir009_silent_on_pin_or_release_split():
+    """One branch pins the view in a table, the other releases it."""
+    findings = analyze(
+        """
+        class Link:
+            def send_view(self, view: PacketView, reliable):
+                self._raw_send(view.mem)
+                if reliable:
+                    self._track(view.mem, view.slot)
+                else:
+                    view.release()
+        """,
+        "repro.live.fixture",
+    )
+    assert rules_fired(findings) == []
+
+
 def test_sir009_silent_on_finally_release_and_tobytes_copy():
     findings = analyze(
         """

@@ -26,7 +26,6 @@ from repro.viper.packet import (
     encode_packet,
 )
 from repro.viper.wire import (
-    ALT_COUNT_BYTES,
     MAX_SEGMENTS,
     HeaderSegment,
     alt_block_span,

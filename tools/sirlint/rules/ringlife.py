@@ -6,8 +6,9 @@ exception path silently shrinks the ring until the overflow
 allocator re-introduces the very per-packet churn the ring exists to
 kill; a view touched after ``release()`` reads memory the next
 datagram is already overwriting.  This rule runs a forward dataflow
-over each function's CFG with a per-variable ownership lattice —
-the powerset of:
+over each function's CFG with a per-variable ownership lattice.  A
+variable's value is the *set of path states* that reach a point; each
+path state is a set of flags:
 
 * ``H`` (held)      — owns a live slot,
 * ``R`` (released)  — the slot was given back,
@@ -16,11 +17,14 @@ the powerset of:
 
 Ownership follows *move semantics*: passing a tracked value to an
 unknown call, returning it, or storing it in a container transfers
-ownership and ends tracking (``E`` is absorbing — it suppresses
-leak/use reports so correlated branches like ``send_view``'s
-reliable-pin vs unreliable-release split stay quiet).  A small borrow
-table (``len``, ``isinstance``, the in-place codec helpers…) lists
-callees that inspect without consuming.
+ownership and ends tracking (``E`` is absorbing *within a path* — it
+suppresses leak/use reports on that path, so a branch that pins the
+slot and one that releases it both stay quiet).  Joins keep the path
+states apart, so an escape on one path (a receive loop handing the
+slot to a view) never hides a leak on another (the same loop's early
+``continue``).  A small borrow table (``len``, ``isinstance``, socket
+receives, the in-place codec helpers…) lists callees that inspect or
+fill a slot without consuming it.
 
 Findings:
 
@@ -50,9 +54,12 @@ HELD = "H"
 RELEASED = "R"
 ESCAPED = "E"
 
-_FRESH: FrozenSet[str] = frozenset((HELD,))
+#: One path's ownership flags.
+Flags = FrozenSet[str]
 
-State = Dict[str, FrozenSet[str]]
+_FRESH: FrozenSet[Flags] = frozenset((frozenset((HELD,)),))
+
+State = Dict[str, FrozenSet[Flags]]
 
 #: Callees that inspect a view/slot without taking ownership.
 BORROWING = {
@@ -67,11 +74,16 @@ BORROWING = {
     "type",
     "format",
     "memoryview",
+    # socket receives fill the slot's memory and keep no reference
+    "recv_into",
+    "recvfrom_into",
+    "recvmsg_into",
     # the in-place VIPER codec helpers mutate through the view and
     # hand it straight back (PR 8's hop fastpath)
     "decode_preamble",
     "parse_segment_view",
     "hop_move_into",
+    "slick_reroute_into",
     "restamp_seq_into",
     "encode_preamble_into",
 }
@@ -189,11 +201,11 @@ class _Ownership:
     # -- lattice helpers -----------------------------------------------
 
     def _check_use(self, var: str, state: State, node: Node) -> None:
-        flags = state.get(var)
-        if flags is None:
+        paths = state.get(var)
+        if paths is None:
             return
-        if RELEASED in flags and ESCAPED not in flags:
-            qual = "" if flags == frozenset((RELEASED,)) else "on some paths "
+        qual = _qualifier(paths, RELEASED)
+        if qual is not None:
             self._report(
                 node,
                 var,
@@ -203,11 +215,11 @@ class _Ownership:
             )
 
     def _consume(self, var: str, state: State, node: Node) -> None:
-        flags = state.get(var)
-        if flags is None:
+        paths = state.get(var)
+        if paths is None:
             return
-        if RELEASED in flags and ESCAPED not in flags:
-            qual = "" if flags == frozenset((RELEASED,)) else "on some paths "
+        qual = _qualifier(paths, RELEASED)
+        if qual is not None:
             self._report(
                 node,
                 var,
@@ -215,15 +227,16 @@ class _Ownership:
                 f"'{var}' is released twice {qual}— BufferRing.release "
                 "raises on double release at runtime",
             )
-        keep = frozenset((RELEASED,)) | (
-            frozenset((ESCAPED,)) if ESCAPED in flags else frozenset()
+        state[var] = frozenset(
+            frozenset((RELEASED, ESCAPED)) if ESCAPED in flags
+            else frozenset((RELEASED,))
+            for flags in paths
         )
-        state[var] = keep
 
     def _escape(self, var: str, state: State) -> None:
-        flags = state.get(var)
-        if flags is not None:
-            state[var] = flags | frozenset((ESCAPED,))
+        paths = state.get(var)
+        if paths is not None:
+            state[var] = frozenset(flags | {ESCAPED} for flags in paths)
 
     def _tracked_base(self, expr: ast.AST, state: State) -> Optional[str]:
         node = expr
@@ -337,8 +350,7 @@ class _Ownership:
             prior = state.get(target.id)
             if (
                 prior is not None
-                and HELD in prior
-                and ESCAPED not in prior
+                and _qualifier(prior, HELD) is not None
                 and not (tag and tag[0] == "move" and tag[1] == target.id)
             ):
                 self._report(
@@ -517,8 +529,8 @@ class RingSlotLifetimeRule(Rule):
             boundary = in_states.get(exit_id)
             if not boundary:
                 continue
-            for var, flags in sorted(boundary.items()):
-                if HELD in flags and ESCAPED not in flags:
+            for var, paths in sorted(boundary.items()):
+                if _qualifier(paths, HELD) is not None:
                     analysis._report_boundary(
                         var,
                         "leak",
@@ -530,13 +542,23 @@ class RingSlotLifetimeRule(Rule):
         return sink
 
 
+def _qualifier(paths: FrozenSet[Flags], flag: str) -> Optional[str]:
+    """None when no path has ``flag`` without an escape; otherwise the
+    message qualifier: empty when every path has it, else "on some
+    paths "."""
+    hits = sum(1 for flags in paths if flag in flags and ESCAPED not in flags)
+    if not hits:
+        return None
+    return "" if hits == len(paths) else "on some paths "
+
+
 def _join(a: State, b: State) -> State:
     if a == b:
         return a
     out: State = dict(a)
-    for var, flags in b.items():
+    for var, paths in b.items():
         prior = out.get(var)
-        out[var] = flags if prior is None else (prior | flags)
+        out[var] = paths if prior is None else (prior | paths)
     return out
 
 
